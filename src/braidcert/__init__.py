@@ -11,6 +11,7 @@ from .certificates import Certificate, ContextReport
 from .errors import (
     BraidCertError,
     DegenerateInput,
+    InvalidBudget,
     InvalidContext,
     InvalidPair,
     NoCircle,

@@ -20,6 +20,7 @@ from . import certificates, geometry, gnk, parity, pbraid, switches, trace, word
 from .errors import (
     BraidCertError,
     DegenerateInput,
+    InvalidBudget,
     InvalidContext,
     InvalidPair,
     NoCircle,
@@ -35,6 +36,7 @@ _PARSE_ERRORS = (ParseError,)
 _PRECONDITION_ERRORS = (
     NotEvenWord,
     NotAGroupElement,
+    InvalidBudget,
     InvalidContext,
     InvalidPair,
     DegenerateInput,

@@ -58,3 +58,7 @@ class NonGenericTrajectory(BraidCertError, RuntimeError):
 
 class ParseError(BraidCertError, ValueError):
     """A word or number written in one of the text grammars failed to parse."""
+
+
+class InvalidBudget(BraidCertError, ValueError):
+    """A search budget is negative."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidContext, NotEvenWord
@@ -54,7 +55,7 @@ class BaseChoice:
         if self.m[0] < 1 or self.m[-1] > self.n:
             raise InvalidContext(f"base {self.m} out of range 1..{self.n}")
 
-    @property
+    @cached_property
     def outside(self) -> tuple[int, ...]:
         return tuple(p for p in range(1, self.n + 1) if p not in self.m)
 
@@ -66,6 +67,18 @@ class BaseChoice:
         """Bit index of e_i in the p-component (i is 1-based, i <= k-1)."""
         return self.outside.index(p) * (self.k - 1) + (i - 1)
 
+    @cached_property
+    def psi(self) -> dict[GeneratorIndex, ZVec]:
+        """psi of every k-subset that shares k-1 indices with m, keyed by the
+        sorted letter; every other k-subset has psi = 0 and is left out."""
+        table: dict[GeneratorIndex, ZVec] = {}
+        for p in self.outside:
+            for pos, missing in enumerate(self.m, start=1):
+                letter = tuple(sorted(set(self.m) - {missing} | {p}))
+                positions = (pos,) if pos < self.k else range(1, self.k)
+                table[letter] = sum(1 << self.bit(p, i) for i in positions)
+        return table
+
 
 def all_bases(n: int, k: int) -> list[BaseChoice]:
     if not 1 <= k <= n:
@@ -76,18 +89,7 @@ def all_bases(n: int, k: int) -> list[BaseChoice]:
 def psi_letter(letter: GeneratorIndex, base: BaseChoice) -> ZVec:
     """Parity vector of a single generator (zero unless it shares k-1 indices
     with the base)."""
-    common = set(letter) & set(base.m)
-    if len(common) != base.k - 1:
-        return 0
-    (p,) = set(letter) - set(base.m)
-    (missing,) = set(base.m) - set(letter)
-    pos = base.m.index(missing) + 1
-    if pos <= base.k - 1:
-        return 1 << base.bit(p, pos)
-    full = 0
-    for i in range(1, base.k):
-        full |= 1 << base.bit(p, i)
-    return full
+    return base.psi.get(tuple(letter), 0)
 
 
 def psi_word(w: GnkWord, base: BaseChoice) -> ZVec:

@@ -12,18 +12,27 @@ the image word is therefore a lower bound for the unknotting number of the
 braid; this module computes it exactly by breadth-first search (switches never
 increase the reduced length, so the state space is finite) together with the
 cheaper projection bound through the group algebra Z/2[Z].
+
+Both the projection bound and the feasibility test count letters per coset
+of a subspace of Z, and never enumerate Z or the subspace.  A subspace is held
+as a reduced-echelon GF(2) basis (distinct leading bits, each leading bit set
+in exactly one basis vector); the canonical key of the coset x + span is the
+reduction of x against that basis, which clears every leading bit and equals
+min(x ^ s for s in span).  A key costs O(dim) xors, so counting the letters
+of a word by coset costs O(len * dim), whatever the 2^dim size of Z.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .certificates import Certificate, ContextReport
-from .errors import InvalidPair
+from .errors import InvalidBudget, InvalidPair
 from .gnk import GnkWord, format_gnk_word
 from .parity import (
     BaseChoice,
@@ -32,45 +41,78 @@ from .parity import (
     all_bases,
     format_hword,
     format_zvec,
+    h_complexity,
     phi,
-    psi_letter,
-    quadrisecant_lower_bound,
-    trisecant_lower_bound,
+    # unused here, but kept as attributes of this module: per-layer tracing
+    # (perfbench/spans.py) wraps switches.psi_letter and the two bounds
+    psi_letter,  # noqa: F401
+    quadrisecant_lower_bound,  # noqa: F401
+    trisecant_lower_bound,  # noqa: F401
 )
 from .pbraid import PBWord, format_pb_word, map_pb_to_g3, map_pb_to_g4
 from .words import reduce_involutive
 
 
 def z_pair(i: int, j: int, base: BaseChoice) -> ZVec:
-    """Switch vector of the strand pair {i, j} for the given base."""
+    """Switch vector of the strand pair {i, j} for the given base: the xor of
+    psi over the k-subsets containing {i, j} (only those sharing k-1 indices
+    with m contribute)."""
     if i == j or not (1 <= i <= base.n and 1 <= j <= base.n):
         raise InvalidPair(f"need distinct strands in 1..{base.n}, got ({i}, {j})")
-    i, j = min(i, j), max(i, j)
-    others = [x for x in range(1, base.n + 1) if x not in (i, j)]
     out = 0
-    for extra in combinations(others, base.k - 2):
-        letter = tuple(sorted((i, j) + extra))
-        if len(set(letter) & set(base.m)) == base.k - 1:
-            out ^= psi_letter(letter, base)
+    for letter, x in base.psi.items():
+        if i in letter and j in letter:
+            out ^= x
     return out
 
 
-def _gf2_span(vectors: Iterable[ZVec]) -> tuple[ZVec, ...]:
-    span = {0}
+def gf2_reduce(x: ZVec, basis: Sequence[ZVec]) -> ZVec:
+    """Canonical representative of the coset x + span(basis), for a basis
+    from gf2_basis: each step clears one leading bit, and the result, having
+    no leading bit set, is min(x ^ s for s in span)."""
+    for b in basis:
+        x = min(x, x ^ b)
+    return x
+
+
+def gf2_basis(vectors: Iterable[ZVec]) -> tuple[ZVec, ...]:
+    """Reduced-echelon basis of the GF(2) span of ``vectors``, sorted by
+    decreasing leading bit.  Each leading bit is set in exactly one basis
+    vector, so the basis depends only on the span."""
+    basis: list[ZVec] = []
     for v in vectors:
-        span |= {x ^ v for x in span}
+        v = gf2_reduce(v, basis)
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            basis = sorted([b ^ v if b & top else b for b in basis] + [v], reverse=True)
+    return tuple(basis)
+
+
+def _span(basis: Sequence[ZVec]) -> tuple[ZVec, ...]:
+    span = [0]
+    for b in basis:
+        span += [x ^ b for x in span]
     return tuple(sorted(span))
 
 
 @dataclass(frozen=True)
 class SwitchSystem:
-    """All switch vectors for one base, plus the two spans that drive the
-    feasibility test (all pairs) and the projection bound (pairs inside m)."""
+    """All switch vectors for one base, plus reduced bases of the two
+    subspaces that drive the feasibility test (all pairs) and the projection
+    bound (pairs inside m).
+
+    The constructor takes any generating sets and normalises them.  Coset
+    keys reduce against the bases in O(dim); the spans themselves are built
+    only on request and are not used by any bound."""
 
     base: BaseChoice
     pair_table: tuple[tuple[tuple[int, int], ZVec], ...]
-    z0_span: tuple[ZVec, ...]   # span of z_ij with {i, j} inside m
-    full_span: tuple[ZVec, ...]  # span of all z_ij
+    z0_basis: tuple[ZVec, ...]    # span of z_ij with {i, j} inside m
+    full_basis: tuple[ZVec, ...]  # span of all z_ij
+
+    def __post_init__(self):
+        object.__setattr__(self, "z0_basis", gf2_basis(self.z0_basis))
+        object.__setattr__(self, "full_basis", gf2_basis(self.full_basis))
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], ZVec]:
@@ -84,12 +126,28 @@ class SwitchSystem:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(p for p, _ in self.pair_table)
 
+    def z0_key(self, x: ZVec) -> ZVec:
+        """Canonical representative of the coset x + Z0."""
+        return gf2_reduce(x, self.z0_basis)
+
+    def full_key(self, x: ZVec) -> ZVec:
+        """Canonical representative of x modulo the span of all z_ij."""
+        return gf2_reduce(x, self.full_basis)
+
+    @cached_property
+    def z0_span(self) -> tuple[ZVec, ...]:
+        return _span(self.z0_basis)
+
+    @cached_property
+    def full_span(self) -> tuple[ZVec, ...]:
+        return _span(self.full_basis)
+
 
 def switch_system(base: BaseChoice) -> SwitchSystem:
     table = tuple(((i, j), z_pair(i, j, base))
                   for i, j in combinations(range(1, base.n + 1), 2))
     inside = [z for (i, j), z in table if i in base.m and j in base.m]
-    return SwitchSystem(base, table, _gf2_span(inside), _gf2_span(z for _, z in table))
+    return SwitchSystem(base, table, inside, [z for _, z in table])
 
 
 def apply_switch(w: HWord, pos: int, i: int, j: int, sys: SwitchSystem) -> HWord:
@@ -100,10 +158,6 @@ def apply_switch(w: HWord, pos: int, i: int, j: int, sys: SwitchSystem) -> HWord
     return reduce_involutive(flipped)
 
 
-def _coset_key(x: ZVec, span: Sequence[ZVec]) -> ZVec:
-    return min(x ^ s for s in span)
-
-
 def switch_feasibility_necessary(w: HWord, sys: SwitchSystem) -> bool:
     """Cheap necessary condition for switch-trivialisability: even reduced
     length, and evenly many letters in every coset of the span of all z_ij
@@ -111,11 +165,13 @@ def switch_feasibility_necessary(w: HWord, sys: SwitchSystem) -> bool:
     word = reduce_involutive(w)
     if len(word) % 2:
         return False
-    counts: dict[ZVec, int] = {}
-    for x in word:
-        key = _coset_key(x, sys.full_span)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(sys.full_key(x) for x in word)
     return all(c % 2 == 0 for c in counts.values())
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise InvalidBudget(f"budget must be nonnegative, got {budget}")
 
 
 def min_switches(w: HWord, sys: SwitchSystem, budget: int = 6) -> int | None:
@@ -132,8 +188,7 @@ def min_switches_witness(
     """Like min_switches but also returns one optimal move sequence, each move
     a (position, i, j) triple.  Expansion order is sorted, so the witness is
     deterministic."""
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     start = reduce_involutive(w)
     if not start:
         return 0, ()
@@ -187,16 +242,10 @@ def c_z_count(xi: PiVector, z: ZVec, sys: SwitchSystem) -> int:
 
 
 def c_max(xi: PiVector, sys: SwitchSystem) -> int:
-    """Max of c_z_count over Z, taking one representative per coset of Z0."""
-    best = 0
-    seen: set[ZVec] = set()
-    for z in range(1 << sys.base.dim):
-        key = _coset_key(z, sys.z0_span)
-        if key in seen:
-            continue
-        seen.add(key)
-        best = max(best, c_z_count(xi, key, sys))
-    return best
+    """Max of c_z_count over Z: the size of the largest group of supp(xi)
+    under the Z0 coset key, 0 when xi is empty.  Cosets that miss xi count 0,
+    so only the O(|xi|) letters are keyed, at O(dim) each."""
+    return max(Counter(sys.z0_key(x) for x in xi).values(), default=0)
 
 
 def rough_unknotting_bound(w: GnkWord, base: BaseChoice) -> int:
@@ -210,9 +259,8 @@ def rough_unknotting_bound(w: GnkWord, base: BaseChoice) -> int:
 # ---------------------------------------------------------------------------
 # Full report over all contexts.
 
-def _context_report(image: GnkWord, base: BaseChoice, budget: int) -> ContextReport:
+def _context_report(base: BaseChoice, y: HWord, budget: int) -> ContextReport:
     sys = switch_system(base)
-    y = phi(image, base)
     xi = pi_project(y)
     rough = (c_max(xi, sys) + 1) // 2
     exact, _ = min_switches_witness(y, sys, budget)
@@ -230,16 +278,23 @@ def _context_report(image: GnkWord, base: BaseChoice, budget: int) -> ContextRep
 def unknotting_report(w: PBWord, budget: int = 6) -> Certificate:
     """Certificate over k in {3, 4} and every base subset: rough projection
     bound plus (within budget) the exact minimal switch count, and the best
-    resulting lower bound for the unknotting number."""
+    resulting lower bound for the unknotting number.  The trisecant and
+    quadrisecant bounds are the longest parity images of the same pass, as
+    in trisecant_lower_bound and quadrisecant_lower_bound."""
+    _check_budget(budget)
     started = time.perf_counter()
     contexts: list[ContextReport] = []
     images: list[tuple[int, str]] = []
+    event_bounds = {3: 0, 4: 0}
     for k, mapper in ((3, map_pb_to_g3), (4, map_pb_to_g4)):
         if w.n < k:
             continue
         image = mapper(w)
         images.append((k, format_gnk_word(image)))
-        contexts.extend(_context_report(image, base, budget) for base in all_bases(w.n, k))
+        for base in all_bases(w.n, k):
+            y = phi(image, base)
+            event_bounds[k] = max(event_bounds[k], h_complexity(y))
+            contexts.append(_context_report(base, y, budget))
     return Certificate(
         input_word=format_pb_word(w),
         input_kind="pb",
@@ -247,17 +302,19 @@ def unknotting_report(w: PBWord, budget: int = 6) -> Certificate:
         budget=budget,
         contexts=tuple(contexts),
         images=tuple(images),
-        trisecant_bound=trisecant_lower_bound(w),
-        quadrisecant_bound=quadrisecant_lower_bound(w),
+        trisecant_bound=event_bounds[3],
+        quadrisecant_bound=event_bounds[4],
         timing_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
 def gnk_report(w: GnkWord, budget: int = 6) -> Certificate:
     """Certificate for an even word given directly in one (n, k) group."""
+    _check_budget(budget)
     started = time.perf_counter()
     reduced = w.reduced()
-    contexts = tuple(_context_report(reduced, base, budget) for base in all_bases(w.n, w.k))
+    contexts = tuple(_context_report(base, phi(reduced, base), budget)
+                     for base in all_bases(w.n, w.k))
     return Certificate(
         input_word=format_gnk_word(w),
         input_kind="gnk",

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from braidcert.cli import main
 
 
@@ -91,6 +93,19 @@ def test_bounds_odd_gnk_word_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "--gnk", "--n", "4", "--k", "3",
                        "--out-dir", str(tmp_path), "a123")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--n", "4", "b13 B23"),
+    ("bounds", "--gnk", "--n", "4", "--k", "3", "a123 a123"),
+    ("bounds", "--n", "2", "b12"),  # no contexts at all: still rejected
+])
+def test_bounds_negative_budget_exit_code(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1", "--out-dir", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: budget must be nonnegative, got -1\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_relators(capsys):

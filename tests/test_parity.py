@@ -45,6 +45,28 @@ def test_psi_letter_examples():
     assert psi_letter((1, 2, 4), BASE) == E1 | E2
 
 
+def test_psi_table_matches_definition():
+    # the letterwise definition, evaluated on every k-subset
+    from itertools import combinations
+
+    def psi_by_definition(letter, base):
+        if len(set(letter) & set(base.m)) != base.k - 1:
+            return 0
+        (p,) = set(letter) - set(base.m)
+        (missing,) = set(base.m) - set(letter)
+        pos = base.m.index(missing) + 1
+        positions = [pos] if pos <= base.k - 1 else range(1, base.k)
+        return sum(1 << base.bit(p, i) for i in positions)
+
+    for n in range(3, 8):
+        for k in (3, 4):
+            if k > n:
+                continue
+            for base in all_bases(n, k):
+                for letter in combinations(range(1, n + 1), k):
+                    assert psi_letter(letter, base) == psi_by_definition(letter, base)
+
+
 def test_psi_letter_generic_base():
     base = BaseChoice(5, 3, (2, 3, 5))
     assert base.outside == (1, 4)

@@ -5,13 +5,15 @@ import pytest
 
 from braidcert.certificates import input_hash, persist
 from braidcert.gnk import GnkWord, c_full, parse_gnk_word, relators
-from braidcert.parity import BaseChoice, phi
+from braidcert.parity import BaseChoice, all_bases, phi
 from braidcert.pbraid import parse_pb_word
 from braidcert.switches import (
     SwitchSystem,
     apply_switch,
     c_max,
     c_z_count,
+    gf2_basis,
+    gf2_reduce,
     gnk_report,
     min_switches,
     min_switches_witness,
@@ -214,6 +216,111 @@ def test_min_switches_at_least_rough_bound():
 
 
 # ---------------------------------------------------------------------------
+# Oracles for the echelon coset keys: the definitions by span enumeration.
+
+def span_by_enumeration(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {x ^ v for x in span}
+    return sorted(span)
+
+
+def key_by_enumeration(x, span):
+    return min(x ^ s for s in span)
+
+
+def c_max_by_enumeration(xi, sys, z0_span):
+    best = 0
+    seen = set()
+    for z in range(1 << sys.base.dim):
+        key = key_by_enumeration(z, z0_span)
+        if key not in seen:
+            seen.add(key)
+            best = max(best, sum(1 for z0 in z0_span if (key ^ z0) in xi))
+    return best
+
+
+def feasible_by_enumeration(w, full_span):
+    word = reduce_involutive(w)
+    counts = {}
+    for x in word:
+        key = key_by_enumeration(x, full_span)
+        counts[key] = counts.get(key, 0) + 1
+    return len(word) % 2 == 0 and all(c % 2 == 0 for c in counts.values())
+
+
+def z_pair_by_definition(i, j, base):
+    from itertools import combinations
+
+    from braidcert.parity import psi_letter
+
+    others = [x for x in range(1, base.n + 1) if x not in (i, j)]
+    out = 0
+    for extra in combinations(others, base.k - 2):
+        out ^= psi_letter(tuple(sorted((i, j) + extra)), base)
+    return out
+
+
+ORACLE_SYSTEMS = [switch_system(base)
+                  for n in range(4, 7) for k in (3, 4) for base in all_bases(n, k)]
+
+
+@pytest.mark.parametrize("sys", ORACLE_SYSTEMS, ids=lambda s: f"n{s.base.n}m{''.join(map(str, s.base.m))}")
+def test_echelon_keys_match_span_enumeration(sys):
+    rng = random.Random(repr((sys.base.n, sys.base.m)))
+    dim = sys.base.dim
+    assert all(z == z_pair_by_definition(i, j, sys.base) for (i, j), z in sys.pair_table)
+    z0_span = span_by_enumeration(z for (i, j), z in sys.pair_table
+                                  if i in sys.base.m and j in sys.base.m)
+    full_span = span_by_enumeration(z for _, z in sys.pair_table)
+    assert list(sys.z0_span) == z0_span and list(sys.full_span) == full_span
+    assert len(sys.z0_basis) == len(z0_span).bit_length() - 1
+    assert len(sys.full_basis) == len(full_span).bit_length() - 1
+    probes = range(1 << dim) if dim <= 6 else [rng.randrange(1 << dim) for _ in range(64)]
+    for x in probes:
+        assert sys.z0_key(x) == key_by_enumeration(x, z0_span)
+        assert sys.full_key(x) == key_by_enumeration(x, full_span)
+    for _ in range(20):
+        xi = frozenset(rng.randrange(1 << dim) for _ in range(rng.randrange(12)))
+        assert c_max(xi, sys) == c_max_by_enumeration(xi, sys, z0_span)
+    for _ in range(20):
+        w = tuple(rng.randrange(1 << dim) for _ in range(rng.randrange(8)))
+        assert switch_feasibility_necessary(w, sys) == feasible_by_enumeration(w, full_span)
+        assert switch_feasibility_necessary(w + w[::-1], sys)
+
+
+def test_gf2_basis_is_canonical():
+    rng = random.Random(17)
+    for _ in range(200):
+        dim = rng.randrange(1, 9)
+        gens = [rng.randrange(1 << dim) for _ in range(rng.randrange(6))]
+        basis = gf2_basis(gens)
+        assert span_by_enumeration(basis) == span_by_enumeration(gens)
+        assert list(basis) == sorted(basis, reverse=True)
+        for b in basis:  # each leading bit is set in exactly one basis vector
+            top = 1 << (b.bit_length() - 1)
+            assert [c for c in basis if c & top] == [b]
+        rng.shuffle(gens)
+        assert gf2_basis(gens + [0, gens[0] if gens else 0]) == basis
+        x = rng.randrange(1 << dim)
+        assert gf2_reduce(x, basis) == key_by_enumeration(x, span_by_enumeration(gens))
+
+
+def test_c_max_wide_base():
+    # n = 12, k = 4: dim = 24, so a pass over all of Z would take hours
+    sys = switch_system(BaseChoice(12, 4, (2, 5, 7, 11)))
+    assert sys.base.dim == 24 and len(sys.z0_span) == 4
+    rng = random.Random(18)
+    xi = {rng.randrange(1 << 24) for _ in range(300)}
+    xi |= {x ^ z0 for x in list(xi)[:5] for z0 in sys.z0_span}
+    groups = {}
+    for x in xi:
+        key = key_by_enumeration(x, sys.z0_span)
+        groups[key] = groups.get(key, 0) + 1
+    assert c_max(frozenset(xi), sys) == max(groups.values()) == 4
+
+
+# ---------------------------------------------------------------------------
 # Reports and certificates.
 
 def test_gnk_report_worked_example():
@@ -244,6 +351,23 @@ def test_unknotting_report_b12_squared():
     assert ctx.min_switches == 2
     assert cert.best.bound == 2
     assert cert.trisecant_bound == 4
+
+
+def test_unknotting_report_event_bounds_match_standalone():
+    from braidcert.parity import quadrisecant_lower_bound, trisecant_lower_bound
+    from braidcert.pbraid import PBWord, pb_letter
+
+    rng = random.Random(19)
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            letters = []
+            for _ in range(rng.randrange(4)):
+                i, j = sorted(rng.sample(range(1, n + 1), 2))
+                letters.append(pb_letter(i, j, rng.choice((1, -1)), n=n))
+            w = PBWord(n, tuple(letters))
+            cert = unknotting_report(w, budget=0)
+            assert cert.trisecant_bound == trisecant_lower_bound(w)
+            assert cert.quadrisecant_bound == quadrisecant_lower_bound(w)
 
 
 def test_certificate_serialization_round_trip(tmp_path):
