@@ -5,7 +5,7 @@ output is deterministic for fixed inputs and flags (stable orderings, sorted
 JSON keys, no timestamps); randomized verification suites take --seed.
 
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
-violation.
+violation or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -17,34 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import certificates, geometry, gnk, parity, pbraid, switches, trace, words
-from .errors import (
-    BraidCertError,
-    DegenerateInput,
-    InvalidBudget,
-    InvalidContext,
-    InvalidPair,
-    NoCircle,
-    NonGenericTrajectory,
-    NotAGroupElement,
-    NotEvenWord,
-    ParseError,
-    UnorderedConfiguration,
-    VerticalTangent,
-)
-
-_PARSE_ERRORS = (ParseError,)
-_PRECONDITION_ERRORS = (
-    NotEvenWord,
-    NotAGroupElement,
-    InvalidBudget,
-    InvalidContext,
-    InvalidPair,
-    DegenerateInput,
-    NoCircle,
-    VerticalTangent,
-    UnorderedConfiguration,
-    NonGenericTrajectory,
-)
+from .errors import BraidCertError, ParseError
 
 
 def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
@@ -219,6 +192,13 @@ def _suite_appendix(seed: int) -> list[tuple[str, bool]]:
 
 
 def _suite_tracer(n: int) -> list[tuple[str, bool]]:
+    def agrees(traced: gnk.GnkWord, image: gnk.GnkWord, bases) -> bool:
+        return parity.is_even(traced) and all(
+            parity.psi_word(traced, b) == parity.psi_word(image, b)
+            and parity.phi(traced, b) == parity.phi(image, b)
+            for b in bases
+        )
+
     checks: list[tuple[str, bool]] = []
     bases = parity.all_bases(n, 3)
     for i in range(1, n):
@@ -226,21 +206,13 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
             w = pbraid.PBWord(n, (pbraid.pb_letter(i, j),))
             traced = trace.trisecant_trace(trace.simulate_bij_circle(i, j, n))
             image = pbraid.map_pb_to_g3(w, reduced=False)
-            ok = parity.is_even(traced) and all(
-                parity.psi_word(traced, b) == parity.psi_word(image, b)
-                and parity.phi(traced, b) == parity.phi(image, b)
-                for b in bases
-            )
-            checks.append((f"circle trace of b{i}{j} matches the k=3 image", ok))
+            checks.append((f"circle trace of b{i}{j} matches the k=3 image",
+                           agrees(traced, image, bases)))
     if n >= 4:
         traced = trace.concyclic_trace(trace.simulate_bij_parabola(1, 2, n))
         image = pbraid.map_pb_to_g4(pbraid.PBWord(n, (pbraid.pb_letter(1, 2),)), reduced=False)
-        ok = parity.is_even(traced) and all(
-            parity.psi_word(traced, b) == parity.psi_word(image, b)
-            and parity.phi(traced, b) == parity.phi(image, b)
-            for b in parity.all_bases(n, 4)
-        )
-        checks.append(("parabola trace of b12 matches the k=4 image", ok))
+        checks.append(("parabola trace of b12 matches the k=4 image",
+                       agrees(traced, image, parity.all_bases(n, 4))))
     return checks
 
 
@@ -409,13 +381,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BraidCertError as exc:  # pragma: no cover - safety net
+    except (BraidCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

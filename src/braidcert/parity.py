@@ -141,14 +141,18 @@ def h_complexity(y: HWord) -> int:
 # ---------------------------------------------------------------------------
 # Event-count lower bounds for braids.
 
+def _event_lower_bound(image: GnkWord) -> int:
+    return max((h_complexity(phi(image, base)) for base in all_bases(image.n, image.k)),
+               default=0)
+
+
 def trisecant_lower_bound(w: PBWord) -> int:
     """Max over base 3-subsets of the reduced parity image length of the
     braid's k = 3 word: no realisation of the braid can have fewer horizontal
     trisecants."""
     if w.n < 3:
         return 0
-    image = map_pb_to_g3(w)
-    return max((h_complexity(phi(image, base)) for base in all_bases(w.n, 3)), default=0)
+    return _event_lower_bound(map_pb_to_g3(w))
 
 
 def quadrisecant_lower_bound(w: PBWord) -> int:
@@ -156,8 +160,7 @@ def quadrisecant_lower_bound(w: PBWord) -> int:
     n > 4: at n = 4 the parity group Z is trivial and the images collapse."""
     if w.n < 4:
         return 0
-    image = map_pb_to_g4(w)
-    return max((h_complexity(phi(image, base)) for base in all_bases(w.n, 4)), default=0)
+    return _event_lower_bound(map_pb_to_g4(w))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidContext, InvalidPair, NotAGroupElement, ParseError
 from .gnk import GnkWord
@@ -41,10 +41,6 @@ class PBLetter(NamedTuple):
 
     def inverse(self) -> "PBLetter":
         return PBLetter(self.i, self.j, -self.sign)
-
-    def __str__(self) -> str:
-        body = f"{self.i}{self.j}" if self.j <= 9 else f"{{{self.i},{self.j}}}"
-        return ("b" if self.sign > 0 else "B") + body
 
 
 def pb_letter(i: int, j: int, sign: int = 1, *, n: int | None = None) -> PBLetter:
@@ -131,7 +127,7 @@ def pb_relators(n: int) -> list[PBRelation]:
 
 
 # ---------------------------------------------------------------------------
-# k = 3 images.
+# Passing blocks c_{i,j} for k = 3 and k = 4.
 
 def g3_c(i: int, j: int, n: int) -> GnkWord:
     """The block swept out when strand i passes strand j on the circle:
@@ -142,36 +138,6 @@ def g3_c(i: int, j: int, n: int) -> GnkWord:
     ks = [x for x in list(range(j + 1, n + 1)) + list(range(1, j)) if x != i]
     return GnkWord(n, 3, tuple(tuple(sorted((i, j, x))) for x in ks))
 
-
-def _g3_letter_image(letter: PBLetter, n: int) -> tuple:
-    i, j, _ = letter
-    inner = [g3_c(i, t, n) for t in range(i + 1, j)]
-    word: list = []
-    for c in inner:
-        word.extend(c.letters[::-1])
-    cij = g3_c(i, j, n).letters
-    word.extend(cij + cij)
-    for c in reversed(inner):
-        word.extend(c.letters)
-    if letter.sign < 0:
-        word.reverse()
-    return tuple(word)
-
-
-def map_pb_to_g3(w: PBWord, *, reduced: bool = True) -> GnkWord:
-    """Letterwise substitution into the k = 3 group; inverses map to reversed
-    words since every generator is an involution."""
-    letters: list = []
-    for letter in w:
-        letters.extend(_g3_letter_image(letter, w.n))
-    out = tuple(letters)
-    if reduced:
-        out = reduce_involutive(out)
-    return GnkWord(w.n, 3, out)
-
-
-# ---------------------------------------------------------------------------
-# k = 4 images.
 
 def g4_c_components(i: int, j: int, n: int) -> tuple[GnkWord, GnkWord, GnkWord]:
     """The three sub-blocks of the passing word for k = 4, as (I, II, III).
@@ -215,13 +181,19 @@ def g4_c(i: int, j: int, n: int) -> GnkWord:
     return c2 * c1 * c3
 
 
-def _g4_letter_image(letter: PBLetter, n: int) -> tuple:
+# ---------------------------------------------------------------------------
+# The substitution: one conjugation pattern, the block chosen by k.
+
+def _letter_image(letter: PBLetter, n: int, block: Callable[[int, int, int], GnkWord]) -> tuple:
+    """Image of one braid letter: the inverse blocks c_{i,t} (t = i+1..j-1) on
+    the approach, c_{i,j} twice, then the blocks again on the way back; an
+    inverse letter gives the reversed word."""
     i, j, _ = letter
-    inner = [g4_c(i, t, n) for t in range(i + 1, j)]
+    inner = [block(i, t, n) for t in range(i + 1, j)]
     word: list = []
     for c in inner:
         word.extend(c.letters[::-1])
-    cij = g4_c(i, j, n).letters
+    cij = block(i, j, n).letters
     word.extend(cij + cij)
     for c in reversed(inner):
         word.extend(c.letters)
@@ -230,19 +202,29 @@ def _g4_letter_image(letter: PBLetter, n: int) -> tuple:
     return tuple(word)
 
 
+def _map(w: PBWord, k: int, block: Callable[[int, int, int], GnkWord], reduced: bool) -> GnkWord:
+    letters: list = []
+    for letter in w:
+        letters.extend(_letter_image(letter, w.n, block))
+    out = tuple(letters)
+    if reduced:
+        out = reduce_involutive(out)
+    return GnkWord(w.n, k, out)
+
+
+def map_pb_to_g3(w: PBWord, *, reduced: bool = True) -> GnkWord:
+    """Letterwise substitution into the k = 3 group; inverses map to reversed
+    words since every generator is an involution."""
+    return _map(w, 3, g3_c, reduced)
+
+
 def map_pb_to_g4(w: PBWord, *, reduced: bool = True) -> GnkWord:
     """Letterwise substitution into the k = 4 group, with the same
     conjugation pattern as the k = 3 map (inverse blocks on the approach);
     the relation checks in the test suite pin this direction down."""
     if w.n < 4:
         raise InvalidContext(f"k = 4 map needs n >= 4, got {w.n}")
-    letters: list = []
-    for letter in w:
-        letters.extend(_g4_letter_image(letter, w.n))
-    out = tuple(letters)
-    if reduced:
-        out = reduce_involutive(out)
-    return GnkWord(w.n, 4, out)
+    return _map(w, 4, g4_c, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +304,8 @@ def parse_pb_word(text: str, n: int) -> PBWord:
 
 def format_pb_word(w: PBWord) -> str:
     def fmt(l: PBLetter) -> str:
-        if w.n <= 9:
-            body = f"{l.i}{l.j}"
-            return ("b" if l.sign > 0 else "B") + body
-        return ("b" if l.sign > 0 else "B") + f"{{{l.i},{l.j}}}"
+        body = f"{l.i}{l.j}" if w.n <= 9 else f"{{{l.i},{l.j}}}"
+        return ("b" if l.sign > 0 else "B") + body
 
     return " ".join(fmt(l) for l in w)
 

@@ -13,13 +13,15 @@ pair or particle collision raises NonGenericTrajectory naming the tuple and
 slab.
 
 The simulators realise the generator braid b_ij as the four-stage motion the
-homomorphisms are read from: on a circle (trisecants) the mover slides along
-the inside hugging the circle, so it crosses a chord exactly when passing one
-of its endpoints; on the parabola (concyclicities) the mover hops over each
-passed point and otherwise stays inside the safe strip between the parabola
-and the lowest circle arcs.  All clearances are rational, every constructed
-segment is checked exactly against every static chord/circle, and offending
-offsets are halved deterministically (bounded retries).
+homomorphisms are read from: i moves in stages 1 and 3, j in stages 2 and 4,
+each in its own quarter of [0, 1].  Both motions go through one four-stage
+assembler and differ only in their stage polylines.  On a circle (trisecants)
+the mover slides along the inside hugging the circle, so it crosses a chord
+exactly when passing one of its endpoints; on the parabola (concyclicities)
+the mover hops over each passed point and otherwise stays inside the safe
+strip between the parabola and the lowest circle arcs.  All clearances are
+rational, every constructed segment is checked exactly against every static
+chord/circle, and offsets are halved deterministically (bounded retries).
 """
 
 from __future__ import annotations
@@ -262,6 +264,31 @@ class _BuildRetry(Exception):
     """Internal: a candidate path failed exact validation; retry smaller."""
 
 
+def _four_stage(i: int, j: int, homes: Sequence[Point],
+                stages: Sequence[list[Point]]) -> Trajectory:
+    """Assemble the motion of b_ij from its four stage polylines: i runs
+    stages[0] and stages[2], j runs stages[1] and stages[3], each stage
+    spread evenly over its quarter of [0, 1], and every other point stays
+    home.  Each stage must start where its mover's previous stage ended (or
+    at home) and the last one must end at home."""
+
+    def timed(stage: int) -> list[Breakpoint]:
+        points = stages[stage]
+        m = 4 * (len(points) - 1)
+        return [(Fraction(stage, 4) + Fraction(s, m), p) for s, p in enumerate(points)]
+
+    paths: list[tuple[Breakpoint, ...]] = []
+    for u, home in enumerate(homes, start=1):
+        if u == i:
+            bps = timed(0) + timed(2) + [(Fraction(1), home)]
+        elif u == j:
+            bps = [(Fraction(0), home)] + timed(1) + timed(3)
+        else:
+            bps = [(Fraction(0), home), (Fraction(1), home)]
+        paths.append(tuple(bps))
+    return Trajectory(tuple(paths))
+
+
 # ---------------------------------------------------------------------------
 # Circle motions (k = 3).
 
@@ -304,7 +331,7 @@ def _min_gap_sq(params: Iterable[Fraction]) -> Fraction:
     return best
 
 
-def simulate_bij_circle(i: int, j: int, n: int, *, max_retries: int = 16) -> Trajectory:
+def simulate_bij_circle(i: int, j: int, n: int) -> Trajectory:
     """Closed motion realising the generator b_ij on a circle configuration.
 
     Points sit at rational circle points (tangent-half-angle parameters
@@ -323,7 +350,7 @@ def simulate_bij_circle(i: int, j: int, n: int, *, max_retries: int = 16) -> Tra
     lam = (home[j - 1] + rho) / 2      # landing spot for j, just before that
     eps = _min_gap_sq(list(home.values()) + [rho, lam]) / 64
     last_error: Exception | None = None
-    for _ in range(max_retries):
+    for _ in range(16):
         traj = _build_circle_trajectory(i, j, n, home, rho, lam, eps)
         try:
             trisecant_trace(traj)
@@ -337,35 +364,13 @@ def simulate_bij_circle(i: int, j: int, n: int, *, max_retries: int = 16) -> Tra
 
 def _build_circle_trajectory(i: int, j: int, n: int, home: dict[int, Fraction],
                              rho: Fraction, lam: Fraction, eps: Fraction) -> Trajectory:
-    quarters = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-
-    sweep1 = _circle_sweep(home[i], rho, [home[u] for u in range(i + 1, j)], eps)
-    sweep2 = _circle_sweep(home[j], lam, [rho], eps)
-    sweep3 = _circle_sweep(rho, home[i],
-                           [lam] + [home[u] for u in range(i + 1, j)], eps)
-    sweep4 = _circle_sweep(lam, home[j], [], eps)
-
-    def timed(points: list[Point], t0: Fraction, t1: Fraction) -> list[Breakpoint]:
-        m = len(points) - 1
-        return [(t0 + (t1 - t0) * Fraction(s, m), p) for s, p in enumerate(points)]
-
-    paths: list[tuple[Breakpoint, ...]] = []
-    for u in range(1, n + 1):
-        pu = _circle_point(home[u])
-        if u == i:
-            bps = timed(sweep1, quarters[0], quarters[1])
-            bps.append((quarters[2], bps[-1][1]))
-            bps += timed(sweep3, quarters[2], quarters[3])[1:]
-            bps.append((quarters[4], pu))
-        elif u == j:
-            bps = [(quarters[0], pu)]
-            bps += timed(sweep2, quarters[1], quarters[2])
-            bps.append((quarters[3], bps[-1][1]))
-            bps += timed(sweep4, quarters[3], quarters[4])[1:]
-        else:
-            bps = [(quarters[0], pu), (quarters[4], pu)]
-        paths.append(tuple(bps))
-    return Trajectory(tuple(paths))
+    stages = [
+        _circle_sweep(home[i], rho, [home[u] for u in range(i + 1, j)], eps),
+        _circle_sweep(home[j], lam, [rho], eps),
+        _circle_sweep(rho, home[i], [lam] + [home[u] for u in range(i + 1, j)], eps),
+        _circle_sweep(lam, home[j], [], eps),
+    ]
+    return _four_stage(i, j, [_circle_point(home[u]) for u in range(1, n + 1)], stages)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +529,7 @@ def _motion_word_g4(i: int, j: int, cfg: ParabolaConfig) -> tuple[tuple[int, ...
     return tuple(letters)
 
 
-def simulate_bij_parabola(i: int, j: int, n: int, *, max_retries: int = 12) -> Trajectory:
+def simulate_bij_parabola(i: int, j: int, n: int) -> Trajectory:
     """Closed motion realising b_ij on a fast-growing parabola configuration.
 
     The abscissas come from the canonical growth sequence, upgraded until the
@@ -542,7 +547,7 @@ def simulate_bij_parabola(i: int, j: int, n: int, *, max_retries: int = 12) -> T
     expected = _motion_word_g4(i, j, cfg)
     scale = Fraction(1)
     last_error: Exception | None = None
-    for _ in range(max_retries):
+    for _ in range(12):
         try:
             traj = _build_parabola_trajectory(i, j, n, cfg, scale)
             word = concyclic_trace(traj)
@@ -572,30 +577,8 @@ def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig,
                    homes_not(i, j) + [t_park2]),
         _StagePlan(j, t_park2, t[j], [], homes_not(j)),
     ]
-    quarters = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-    stage_paths = [_mover_stage_path(p, scale) for p in plans]
-
-    def timed(points: list[Point], t0: Fraction, t1: Fraction) -> list[Breakpoint]:
-        m = len(points) - 1
-        return [(t0 + (t1 - t0) * Fraction(s, m), p) for s, p in enumerate(points)]
-
-    paths: list[tuple[Breakpoint, ...]] = []
-    for u in range(1, n + 1):
-        pu = _parabola_pt(t[u])
-        if u == i:
-            bps = timed(stage_paths[0], quarters[0], quarters[1])
-            bps.append((quarters[2], bps[-1][1]))
-            bps += timed(stage_paths[2], quarters[2], quarters[3])[1:]
-            bps.append((quarters[4], pu))
-        elif u == j:
-            bps = [(quarters[0], pu)]
-            bps += timed(stage_paths[1], quarters[1], quarters[2])
-            bps.append((quarters[3], bps[-1][1]))
-            bps += timed(stage_paths[3], quarters[3], quarters[4])[1:]
-        else:
-            bps = [(quarters[0], pu), (quarters[4], pu)]
-        paths.append(tuple(bps))
-    return Trajectory(tuple(paths))
+    stages = [_mover_stage_path(p, scale) for p in plans]
+    return _four_stage(i, j, [_parabola_pt(t[u]) for u in range(1, n + 1)], stages)
 
 
 # ---------------------------------------------------------------------------

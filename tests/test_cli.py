@@ -148,6 +148,23 @@ def test_simulate_trace_flag(capsys):
     assert '"kind": "trisecant"' in out
 
 
+def test_unwritable_output_paths_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing" / "traj.json"
+    code, out, err = run(capsys, "simulate", "--kind", "circle", "--i", "1",
+                         "--j", "2", "--n", "3", "--out", str(missing))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    regular = tmp_path / "file"
+    regular.write_text("")
+    code, out, err = run(capsys, "bounds", "--n", "4", "b13", "--budget", "0",
+                         "--out-dir", str(regular / "sub"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_geometry_ops(capsys):
     code, out, _ = run(capsys, "geometry", "--op", "delta", "--values", "1,2,3,4")
     assert code == 0

@@ -245,3 +245,18 @@ def test_pb_parsing():
     assert parse_even_word("a1 a3") == (1, 3)
     with pytest.raises(ParseError):
         parse_even_word("a4")
+
+
+@pytest.mark.parametrize("n", [4, 9, 10, 12])
+def test_pb_format_parse_round_trip(n):
+    rng = random.Random(n)
+    words = [random_pb_word(rng, n, length) for length in (0, 1, 5, 12)]
+    if n >= 10:
+        # letters with j <= 9 and j >= 10 in one word, both signs
+        words.append(PBWord(n, (pb_letter(1, 2), pb_letter(3, 10, -1),
+                                pb_letter(8, 9, -1), pb_letter(9, n))))
+    for w in words:
+        assert parse_pb_word(format_pb_word(w), n) == w
+    # the token form depends on n alone, never on the strand indices
+    one = format_pb_word(PBWord(n, (pb_letter(1, 2),)))
+    assert one == ("b12" if n <= 9 else "b{1,2}")
