@@ -136,6 +136,57 @@ def test_whole_slab_degeneracy_rejected():
         trisecant_trace(traj)
 
 
+# Every degeneracy the tracer rejects, with the tuple and slab it names.
+_DEGENERACIES = {
+    # orientation determinant s^2 with s = 4t - 1: a double root at t = 1/4
+    "tangential": (3, (
+        static_path((F(0), F(0))),
+        path_through((0, (-1, 1)), (F(1, 2), (1, 1)), (1, (-1, 1))),
+        path_through((0, (-2, 1)), (F(1, 2), (2, 3)), (1, (-2, 1))),
+    ), "tangential trisecant", (1, 2, 3), (F(0), F(1, 2))),
+    "collinear": (3, (
+        static_path((F(0), F(0))),
+        static_path((F(2), F(0))),
+        static_path((F(1), F(0))),
+    ), "trisecant holds on a whole slab", (1, 2, 3), (F(0), F(1))),
+    "concyclic": (4, tuple(static_path((F(x), F(y)))
+                           for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1))),
+                  "concyclic holds on a whole slab", (1, 2, 3, 4), (F(0), F(1))),
+    "tuple-boundary": (3, (
+        static_path((F(0), F(0))),
+        static_path((F(2), F(0))),
+        path_through((0, (1, 1)), (F(1, 2), (1, 0)), (1, (1, 1))),
+    ), "trisecant at a slab boundary", (1, 2, 3), (F(0), F(1, 2))),
+    "coincide": (3, (
+        static_path((F(0), F(0))),
+        static_path((F(2), F(0))),
+        static_path((F(0), F(0))),
+    ), "two points coincide throughout a slab", (1, 3), (F(0), F(1))),
+    "pair-boundary": (3, (
+        static_path((F(0), F(0))),
+        static_path((F(2), F(0))),
+        path_through((0, (1, 1)), (F(1, 2), (2, 0)), (1, (1, 1))),
+    ), "two points coincide at a slab boundary", (2, 3), (F(0), F(1, 2))),
+    "collide": (3, (
+        static_path((F(0), F(0))),
+        static_path((F(2), F(0))),
+        path_through((0, (1, 1)), (F(1, 2), (-1, -1)), (1, (1, 1))),
+    ), "two points collide", (1, 3), (F(0), F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERACIES))
+def test_degeneracy_messages(name):
+    k, paths, reason, participants, slab = _DEGENERACIES[name]
+    with pytest.raises(NonGenericTrajectory) as err:
+        trace_events(Trajectory(paths), k)
+    assert err.value.reason == reason
+    assert err.value.participants == participants
+    assert err.value.slab == slab
+    lo, hi = slab
+    assert str(err.value) == f"{reason} (points {participants}) in time slab [{lo}, {hi}]"
+
+
 def test_trajectory_validation():
     with pytest.raises(DegenerateInput):
         Trajectory((((F(0), (F(0), F(0))), (F(1, 2), (F(1), F(1)))),))  # no t=1
