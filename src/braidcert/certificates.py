@@ -3,8 +3,8 @@
 A certificate records, for one input word, the reduced parity images and the
 bounds they imply, per (k, base) context, plus the best bound with its
 witnessing context.  Serialisation is deterministic (sorted keys, stable
-orderings); the optional timing field is excluded by default so identical
-inputs produce identical bytes.
+orderings); the timing field stays on the object and out of the JSON, so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class Certificate:
             return None
         return max(self.contexts, key=lambda c: (c.bound, -c.k, tuple(-x for x in c.base_m)))
 
-    def to_dict(self, *, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         best = self.best
-        data = {
+        return {
             "input_word": self.input_word,
             "input_kind": self.input_kind,
             "n": self.n,
@@ -78,12 +78,9 @@ class Certificate:
             "quadrisecant_bound": self.quadrisecant_bound,
             "tool_version": TOOL_VERSION,
         }
-        if include_timing and self.timing_ms is not None:
-            data["timing_ms"] = self.timing_ms
-        return data
 
-    def to_json(self, *, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def input_hash(kind: str, word_text: str, n: int, budget: int) -> str:

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import certificates, geometry, gnk, parity, pbraid, switches, trace, words
-from .errors import BraidCertError, ParseError
+from .errors import BraidCertError, InvalidContext, ParseError
 
 
 def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
@@ -192,6 +192,9 @@ def _suite_appendix(seed: int) -> list[tuple[str, bool]]:
 
 
 def _suite_tracer(n: int) -> list[tuple[str, bool]]:
+    if n < 3:
+        raise InvalidContext(f"the tracer suite needs n >= 3, got {n}")
+
     def agrees(traced: gnk.GnkWord, image: gnk.GnkWord, bases) -> bool:
         return parity.is_even(traced) and all(
             parity.psi_word(traced, b) == parity.psi_word(image, b)

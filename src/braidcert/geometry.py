@@ -44,6 +44,11 @@ def _fr(x) -> Fraction:
     return Fraction(x)
 
 
+def _show(values) -> str:
+    """A tuple of rationals as it reads in messages: (1, 1/2, 3)."""
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
 # ---------------------------------------------------------------------------
 # Concyclicity on the parabola.
 
@@ -73,7 +78,7 @@ def concyclic_on_parabola(x0, x1, x2, x3) -> bool:
     sum to zero."""
     xs = (_fr(x0), _fr(x1), _fr(x2), _fr(x3))
     if len(set(xs)) != 4:
-        raise DegenerateInput(f"abscissas must be pairwise distinct, got {xs}")
+        raise DegenerateInput(f"abscissas must be pairwise distinct, got {_show(xs)}")
     return sum(xs) == 0
 
 
@@ -82,7 +87,10 @@ def fourth_intersection(ti, tj, tk) -> Fraction:
     points meets the parabola again: minus their sum.  Negative whenever the
     inputs are positive, so circles through the positive branch pick up no
     extra intersections there."""
-    return -(_fr(ti) + _fr(tj) + _fr(tk))
+    ts = (_fr(ti), _fr(tj), _fr(tk))
+    if len(set(ts)) != 3:
+        raise DegenerateInput(f"abscissas must be distinct, got {_show(ts)}")
+    return -sum(ts)
 
 
 def circle_through(p1: Point, p2: Point, p3: Point) -> tuple[Point, Fraction]:
@@ -90,7 +98,7 @@ def circle_through(p1: Point, p2: Point, p3: Point) -> tuple[Point, Fraction]:
     (x1, y1), (x2, y2), (x3, y3) = ((_fr(x), _fr(y)) for x, y in (p1, p2, p3))
     d = 2 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
     if d == 0:
-        raise NoCircle(f"collinear points {p1}, {p2}, {p3}")
+        raise NoCircle(f"collinear points {_show((x1, y1))}, {_show((x2, y2))}, {_show((x3, y3))}")
     s1, s2, s3 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
     a = (s1 * (y2 - y3) + s2 * (y3 - y1) + s3 * (y1 - y2)) / d
     b = (s1 * (x3 - x2) + s2 * (x1 - x3) + s3 * (x2 - x1)) / d
@@ -103,12 +111,12 @@ def slope_kappa(tk, tl, tm) -> Fraction:
     through the parabola points tk, tl, tm.  Symmetric in (tl, tm)."""
     tk, tl, tm = _fr(tk), _fr(tl), _fr(tm)
     if len({tk, tl, tm}) != 3:
-        raise DegenerateInput(f"abscissas must be distinct, got {(tk, tl, tm)}")
+        raise DegenerateInput(f"abscissas must be distinct, got {_show((tk, tl, tm))}")
     s, p = tl + tm, tl * tm
     num = tk * tk * s + tk * (s * s + 2) + p * s
     den = tk * tk - tk * s - (tl * tl + p + tm * tm + 1)
     if den == 0:
-        raise VerticalTangent(f"vertical tangent for abscissas {(tk, tl, tm)}")
+        raise VerticalTangent(f"vertical tangent for abscissas {_show((tk, tl, tm))}")
     return -num / den
 
 
@@ -209,6 +217,15 @@ def max_radius_sq(points: list[Point]) -> Fraction:
     return best
 
 
+def _case23_holds(t_i: Fraction, t_prev: Fraction, sin2: Fraction, r2max: Fraction) -> bool:
+    """The case-2/3 growth condition at one index, in squared form:
+    t_i sin(alpha) >= 3 t_prev^2 and t_i - t_prev^2 >= 2 R."""
+    if t_i * t_i * sin2 < 9 * t_prev**4:
+        return False
+    slack = t_i - t_prev * t_prev
+    return slack >= 0 and slack * slack >= 4 * r2max
+
+
 def check_growth_case23(cfg: ParabolaConfig) -> bool:
     """The stronger growth condition that freezes crossing orders in cases 2
     and 3: t_1 >= 1, monotone, and for i > 3
@@ -224,12 +241,8 @@ def check_growth_case23(cfg: ParabolaConfig) -> bool:
         return False
     for i in range(4, cfg.n + 1):
         prefix = [cfg.point(u) for u in range(1, i)]
-        t_i, t_prev = cfg.t(i), cfg.t(i - 1)
-        sin2 = min_angle_sin2(prefix)
-        if t_i * t_i * sin2 < 9 * t_prev**4:
-            return False
-        slack = t_i - t_prev * t_prev
-        if slack < 0 or slack * slack < 4 * max_radius_sq(prefix):
+        if not _case23_holds(cfg.t(i), cfg.t(i - 1), min_angle_sin2(prefix),
+                             max_radius_sq(prefix)):
             return False
     return True
 
@@ -242,15 +255,7 @@ def upgrade_to_case23(cfg: ParabolaConfig) -> ParabolaConfig:
         prefix = [(t, t * t) for t in ts[: i - 1]]
         sin2 = min_angle_sin2(prefix)
         r2max = max_radius_sq(prefix)
-        t_prev = ts[i - 2]
-
-        def ok(t_i: Fraction) -> bool:
-            if t_i * t_i * sin2 < 9 * t_prev**4:
-                return False
-            slack = t_i - t_prev * t_prev
-            return slack >= 0 and slack * slack >= 4 * r2max
-
-        while not ok(ts[i - 1]):
+        while not _case23_holds(ts[i - 1], ts[i - 2], sin2, r2max):
             ts[i - 1] *= 2
     return ParabolaConfig(tuple(ts))
 

@@ -152,18 +152,8 @@ def _sign_lin_sqrt(a: Fraction, b: Fraction, d: Fraction) -> int:
 def _sign_two_sqrt(r: Fraction, u: Fraction, d1: Fraction,
                    v: Fraction, d2: Fraction) -> int:
     """Exact sign of r + u*sqrt(d1) + v*sqrt(d2), d1, d2 >= 0."""
-    # sign of S = u sqrt(d1) + v sqrt(d2): compare u^2 d1 against v^2 d2
-    if u == 0 or d1 == 0:
-        s_sign = _sign(v) if d2 != 0 else 0
-    elif v == 0 or d2 == 0:
-        s_sign = _sign(u)
-    elif u > 0 and v > 0:
-        s_sign = 1
-    elif u < 0 and v < 0:
-        s_sign = -1
-    else:
-        lhs, rhs = u * u * d1, v * v * d2
-        s_sign = 0 if lhs == rhs else (_sign(u) if lhs > rhs else _sign(v))
+    # sign of S = u sqrt(d1) + v sqrt(d2) = sqrt(d2) (v + u sqrt(d1/d2))
+    s_sign = _sign_lin_sqrt(v, u, Fraction(d1, d2)) if d2 else _sign_lin_sqrt(Fraction(0), u, d1)
     if r == 0:
         return s_sign
     if s_sign == 0:
@@ -221,9 +211,6 @@ class RealRoot:
         if _sign(val) == _sign(poly_eval(self.minimal, self.lo)):
             return RealRoot(self.minimal, mid, self.hi, False)
         return RealRoot(self.minimal, self.lo, mid, False)
-
-    def approx(self) -> float:
-        return float((self.lo + self.hi) / 2)
 
 
 def _isolate_quadratic(p: Poly, lo: Fraction, hi: Fraction) -> list[RealRoot]:
@@ -337,7 +324,3 @@ def root_compare(r1: RealRoot, r2: RealRoot) -> int:
                 return 0
         a, b = a.refined(), b.refined()
     raise RuntimeError("root comparison failed to converge")  # pragma: no cover
-
-
-def roots_equal(r1: RealRoot, r2: RealRoot) -> bool:
-    return root_compare(r1, r2) == 0

@@ -3,14 +3,17 @@
 A trajectory assigns each of n points a closed polygonal path over the common
 time interval [0, 1], all breakpoints rational.  The tracers scan every time
 slab (between consecutive breakpoints of any point) and every 3- or 4-point
-tuple: collinearity is the 2x2 orientation determinant, concyclicity the 4x4
-determinant with rows (x, y, x^2+y^2, 1) (zero also for four collinear
-points, i.e. a circle through infinity, which counts as an event).  Per slab
-these determinants are polynomials in t with rational coefficients; sign
-changes are isolated exactly (Sturm chains), events are sorted by exact
-algebraic-number comparison, and any tangency, boundary root, simultaneous
-pair or particle collision raises NonGenericTrajectory naming the tuple and
-slab.
+tuple.  One determinant gives both events: in coordinates relative to the
+last point of the tuple, the rows (dx, dy) for collinearity and
+(dx, dy, dx^2+dy^2) for concyclicity (zero also for four collinear points,
+i.e. a circle through infinity, which counts as an event).  Per slab it is a
+polynomial in t with rational coefficients.  One genericity check serves it
+and the squared distance of every point pair: a polynomial that vanishes on
+the whole slab, at a slab end, or at a repeated root inside the slab (a
+tangency, or for a pair a collision) raises NonGenericTrajectory naming the
+tuple and slab.  The roots of the squarefree part are isolated exactly
+(Sturm chains), events are sorted by exact algebraic-number comparison, and
+simultaneous events are rejected the same way.
 
 The simulators realise the generator braid b_ij as the four-stage motion the
 homomorphisms are read from: i moves in stages 1 and 3, j in stages 2 and 4,
@@ -50,9 +53,8 @@ from .roots import (
     isolate_roots,
     poly,
     poly_add,
-    poly_deriv,
+    poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_mul,
     poly_sub,
     root_compare,
@@ -107,9 +109,6 @@ class SecantEvent:
     participants: tuple[int, ...]
     root: RealRoot
 
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return (self.root.lo, self.root.hi)
-
 
 def _slab_grid(traj: Trajectory) -> list[Fraction]:
     times = {t for path in traj.paths for t, _ in path}
@@ -128,43 +127,51 @@ def _linear_coeffs(path: Sequence[Breakpoint], t0: Fraction, t1: Fraction) -> tu
     raise ValueError(f"slab [{t0}, {t1}] not inside any segment")
 
 
-def _det3(rows: list[list[Poly]]) -> Poly:
-    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
-    term1 = poly_mul(a1, poly_sub(poly_mul(b2, c3), poly_mul(b3, c2)))
-    term2 = poly_mul(b1, poly_sub(poly_mul(a2, c3), poly_mul(a3, c2)))
-    term3 = poly_mul(c1, poly_sub(poly_mul(a2, b3), poly_mul(a3, b2)))
-    return poly_add(poly_sub(term1, term2), term3)
-
-
-def _orientation_poly(ps: list[tuple[Poly, Poly]]) -> Poly:
-    (x1, y1), (x2, y2), (x3, y3) = ps
-    ax, ay = poly_sub(x2, x1), poly_sub(y2, y1)
-    bx, by = poly_sub(x3, x1), poly_sub(y3, y1)
-    return poly_sub(poly_mul(ax, by), poly_mul(ay, bx))
-
-
-def _concyclic_poly(ps: list[tuple[Poly, Poly]]) -> Poly:
-    # Laplace expansion of det [x y x^2+y^2 1] along the all-ones column,
-    # up to an overall sign (irrelevant for root finding).
-    rows = [[x, y, poly_add(poly_mul(x, x), poly_mul(y, y))] for x, y in ps]
+def _det(rows: list[list[Poly]]) -> Poly:
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
     out: Poly = ()
-    for skip in range(4):
-        minor = _det3([rows[r] for r in range(4) if r != skip])
-        out = poly_sub(out, minor) if skip % 2 else poly_add(out, minor)
+    for c, entry in enumerate(rows[0]):
+        term = poly_mul(entry, _det([row[:c] + row[c + 1:] for row in rows[1:]]))
+        out = poly_sub(out, term) if c % 2 else poly_add(out, term)
     return out
 
 
-def _check_pair_distinct(ps, pair, t0, t1) -> None:
-    (x1, y1), (x2, y2) = ps
-    dx, dy = poly_sub(x1, x2), poly_sub(y1, y2)
-    d2 = poly_add(poly_mul(dx, dx), poly_mul(dy, dy))
-    if not d2:
-        raise NonGenericTrajectory("two points coincide throughout a slab", pair, (t0, t1))
-    if poly_eval(d2, t0) == 0 or poly_eval(d2, t1) == 0:
-        raise NonGenericTrajectory("two points coincide at a slab boundary", pair, (t0, t1))
-    sf = squarefree_part(d2)
-    if count_roots(sf, t0, t1) > 0:
-        raise NonGenericTrajectory("two points collide", pair, (t0, t1))
+def _event_poly(ps: list[tuple[Poly, Poly]]) -> Poly:
+    """Event determinant of k = 3 or 4 moving points, in coordinates relative
+    to the last one: rows (dx, dy) for collinearity, (dx, dy, dx^2+dy^2) for
+    concyclicity.  Equals +-det [x y 1] and +-det [x y x^2+y^2 1]."""
+    *rest, (xl, yl) = ps
+    rows = []
+    for x, y in rest:
+        dx, dy = poly_sub(x, xl), poly_sub(y, yl)
+        row = [dx, dy]
+        if len(ps) == 4:
+            row.append(poly_add(poly_mul(dx, dx), poly_mul(dy, dy)))
+        rows.append(row)
+    return _det(rows)
+
+
+def _generic_part(p: Poly, who: tuple[int, ...], t0: Fraction, t1: Fraction,
+                  whole: str, boundary: str, repeated: str) -> Poly:
+    """Squarefree part of a slab polynomial, after rejecting the three
+    degeneracies with their messages: p vanishes on the whole slab, at a slab
+    end, or has a repeated root inside it."""
+    slab = (t0, t1)
+    if not p:
+        raise NonGenericTrajectory(whole, who, slab)
+    if poly_eval(p, t0) == 0 or poly_eval(p, t1) == 0:
+        raise NonGenericTrajectory(boundary, who, slab)
+    sf = squarefree_part(p)
+    if len(sf) != len(p):
+        # p = gcd(p, p') * sf exactly, so the quotient is the monic gcd,
+        # whose roots are the repeated roots of p
+        g = poly_divmod(p, sf)[0]
+        if count_roots(squarefree_part(g), t0, t1) > 0:
+            raise NonGenericTrajectory(repeated, who, slab)
+    return sf
 
 
 def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
@@ -179,21 +186,18 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
     for t0, t1 in zip(grid, grid[1:]):
         coeffs = [_linear_coeffs(path, t0, t1) for path in traj.paths]
         for pair in combinations(range(1, traj.n + 1), 2):
-            _check_pair_distinct([coeffs[p - 1] for p in pair], pair, t0, t1)
+            # every real root of dx^2 + dy^2 is a double root: a collision
+            (x1, y1), (x2, y2) = (coeffs[p - 1] for p in pair)
+            dx, dy = poly_sub(x1, x2), poly_sub(y1, y2)
+            _generic_part(poly_add(poly_mul(dx, dx), poly_mul(dy, dy)), pair, t0, t1,
+                          "two points coincide throughout a slab",
+                          "two points coincide at a slab boundary",
+                          "two points collide")
         for tup in combinations(range(1, traj.n + 1), k):
-            ps = [coeffs[p - 1] for p in tup]
-            det = _orientation_poly(ps) if k == 3 else _concyclic_poly(ps)
-            if not det:
-                raise NonGenericTrajectory(f"{kind} holds on a whole slab", tup, (t0, t1))
-            if poly_eval(det, t0) == 0 or poly_eval(det, t1) == 0:
-                raise NonGenericTrajectory(f"{kind} at a slab boundary", tup, (t0, t1))
-            sf = squarefree_part(det)
-            if len(sf) != len(det):
-                # multiple root somewhere; reject only if it lies in this slab
-                g = poly_gcd(det, poly_deriv(det))
-                gs = squarefree_part(g)
-                if poly_eval(gs, t0) == 0 or poly_eval(gs, t1) == 0 or count_roots(gs, t0, t1) > 0:
-                    raise NonGenericTrajectory(f"tangential {kind}", tup, (t0, t1))
+            sf = _generic_part(_event_poly([coeffs[p - 1] for p in tup]), tup, t0, t1,
+                               f"{kind} holds on a whole slab",
+                               f"{kind} at a slab boundary",
+                               f"tangential {kind}")
             for root in isolate_roots(sf, t0, t1):
                 events.append(SecantEvent(kind, tup, root))
     events.sort(key=cmp_to_key(lambda a, b: root_compare(a.root, b.root)))
@@ -584,19 +588,11 @@ def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig,
 # ---------------------------------------------------------------------------
 # JSON serialisation: rationals as "p/q" strings.
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def trajectory_to_json(traj: Trajectory) -> str:
     data = {
         "n": traj.n,
         "paths": [
-            [[_frac_str(t), [_frac_str(x), _frac_str(y)]] for t, (x, y) in path]
+            [[str(t), [str(x), str(y)]] for t, (x, y) in path]
             for path in traj.paths
         ],
     }
@@ -606,7 +602,7 @@ def trajectory_to_json(traj: Trajectory) -> str:
 def trajectory_from_json(text: str) -> Trajectory:
     data = json.loads(text)
     paths = tuple(
-        tuple((_parse_frac(t), (_parse_frac(x), _parse_frac(y))) for t, (x, y) in path)
+        tuple((Fraction(t), (Fraction(x), Fraction(y))) for t, (x, y) in path)
         for path in data["paths"]
     )
     return Trajectory(paths)
@@ -615,8 +611,8 @@ def trajectory_from_json(text: str) -> Trajectory:
 def event_log(events: Iterable[SecantEvent]) -> list[dict]:
     return [
         {
-            "time_lo": _frac_str(ev.root.lo),
-            "time_hi": _frac_str(ev.root.hi),
+            "time_lo": str(ev.root.lo),
+            "time_hi": str(ev.root.hi),
             "kind": ev.kind,
             "participants": list(ev.participants),
         }

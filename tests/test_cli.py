@@ -129,6 +129,14 @@ def test_verify_tracer(capsys):
     assert json.loads(out)["failed"] == 0
 
 
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_verify_tracer_needs_three_points(capsys, n):
+    code, out, err = run(capsys, "verify", "--suite", "tracer", "--n", n)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: the tracer suite needs n >= 3, got {n}\n"
+
+
 def test_simulate_round_trip(tmp_path, capsys):
     out_file = tmp_path / "traj.json"
     code, _, err = run(capsys, "simulate", "--kind", "circle", "--i", "1",
@@ -179,6 +187,19 @@ def test_geometry_ops(capsys):
     assert "order: (2,4) (2,5) (1,4) (1,5)" in out
     code, out, _ = run(capsys, "geometry", "--op", "growth", "--n", "3")
     assert "ts: 1,100,1000000" in out
+
+
+@pytest.mark.parametrize("op, values, message", [
+    ("fourth", "1,1,2", "abscissas must be distinct, got (1, 1, 2)"),
+    ("slope", "1,1,1/2", "abscissas must be distinct, got (1, 1, 1/2)"),
+    ("delta", "1,1,2,3", "abscissas must be pairwise distinct, got (1, 1, 2, 3)"),
+    ("circle", "0,0;1,1;2,2", "collinear points (0, 0), (1, 1), (2, 2)"),
+])
+def test_geometry_degenerate_input(capsys, op, values, message):
+    code, _, err = run(capsys, "geometry", "--op", op, "--values", values)
+    assert code == 3
+    assert "Fraction(" not in err
+    assert err == f"error: {message}\n"
 
 
 def test_geometry_parse_error(capsys):

@@ -57,6 +57,8 @@ def test_concyclic_requires_distinct():
 
 def test_fourth_intersection():
     assert fourth_intersection(1, 2, 3) == -6
+    with pytest.raises(DegenerateInput):
+        fourth_intersection(1, 1, 2)
     rng = random.Random(5)
     for _ in range(50):
         ts = sorted(rng.sample(range(1, 1000), 3))

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -8,9 +9,19 @@ from braidcert.errors import DegenerateInput, InvalidContext, InvalidPair, NonGe
 from braidcert.geometry import growth_sequence_case1, upgrade_to_case23
 from braidcert.parity import all_bases, is_even, phi, psi_word
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
-from braidcert.roots import RealRoot, isolate_roots, poly, root_compare
+from braidcert.roots import (
+    RealRoot,
+    _sign_two_sqrt,
+    isolate_roots,
+    poly,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    root_compare,
+)
 from braidcert.trace import (
     Trajectory,
+    _event_poly,
     _motion_word_g4,
     concyclic_trace,
     event_log,
@@ -55,6 +66,58 @@ def test_root_compare_two_quadratics():
     # same value through a different quadratic: 2t^2 - 4
     sqrt2b = isolate_roots(poly((-4, 0, 2)), F(0), F(2))[0]
     assert root_compare(sqrt2, sqrt2b) == 0
+
+
+def test_sign_two_sqrt_against_rational_squares():
+    # with d1 = a^2 and d2 = b^2 the sum r + u a + v b is rational, so its
+    # sign is known exactly; include every zero-sum case of a small grid
+    vals = [F(c) for c in (-2, -1, F(-1, 2), 0, F(1, 2), 1, 2)]
+    roots = [F(c) for c in (0, F(1, 3), 1, F(3, 2), 2)]
+    for r, u, v in product(vals, repeat=3):
+        for a, b in product(roots, repeat=2):
+            total = r + u * a + v * b
+            expected = (total > 0) - (total < 0)
+            assert _sign_two_sqrt(r, u, a * a, v, b * b) == expected, (r, u, a, v, b)
+    rng = random.Random(11)
+    for _ in range(2000):
+        u, v = (F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(2))
+        a, b = (F(rng.randint(0, 30), rng.randint(1, 7)) for _ in range(2))
+        r = -(u * a + v * b) + rng.choice((0, 0, F(rng.randint(-3, 3), 1000)))
+        total = r + u * a + v * b
+        assert _sign_two_sqrt(r, u, a * a, v, b * b) == (total > 0) - (total < 0)
+
+
+def _leibniz_det(rows):
+    """Determinant over polynomials as the signed sum over permutations."""
+    size = len(rows)
+    out = ()
+    for perm in permutations(range(size)):
+        inversions = sum(1 for i in range(size) for j in range(i) if perm[j] > perm[i])
+        term = poly((1,))
+        for r, c in enumerate(perm):
+            term = poly_mul(term, rows[r][c])
+        out = poly_add(out, poly_neg(term) if inversions % 2 else term)
+    return out
+
+
+def test_event_poly_matches_textbook_determinants():
+    # det [x y 1] for three points, det [x y x^2+y^2 1] for four
+    rng = random.Random(3)
+    one = poly((1,))
+    for k in (3, 4):
+        for _ in range(60):
+            ps = [(poly((F(rng.randint(-9, 9), rng.randint(1, 5)),
+                         F(rng.randint(-9, 9), rng.randint(1, 5)))),
+                   poly((F(rng.randint(-9, 9), rng.randint(1, 5)),
+                         F(rng.randint(-9, 9), rng.randint(1, 5)))))
+                  for _ in range(k)]
+            if k == 3:
+                rows = [[x, y, one] for x, y in ps]
+            else:
+                rows = [[x, y, poly_add(poly_mul(x, x), poly_mul(y, y)), one] for x, y in ps]
+            expected = _leibniz_det(rows)
+            assert expected
+            assert _event_poly(ps) in (expected, poly_neg(expected))
 
 
 # ---------------------------------------------------------------------------
