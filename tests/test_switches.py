@@ -370,6 +370,38 @@ def test_unknotting_report_event_bounds_match_standalone():
             assert cert.quadrisecant_bound == quadrisecant_lower_bound(w)
 
 
+# The per-layer benchmark wraps these attributes of ``switches``; the reports
+# must look each one up in the module at call time, or the wrapper sees no call.
+CONTRACT_ATTRS = ("switch_system", "c_max", "switch_feasibility_necessary",
+                  "min_switches_witness", "apply_switch", "phi",
+                  "map_pb_to_g3", "map_pb_to_g4")
+
+
+def count_contract_calls(monkeypatch):
+    import braidcert.switches as switches
+
+    calls = dict.fromkeys(CONTRACT_ATTRS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in CONTRACT_ATTRS:
+        monkeypatch.setattr(switches, name, counting(name, getattr(switches, name)))
+    return calls
+
+
+def test_reports_call_through_module_attributes(monkeypatch):
+    calls = count_contract_calls(monkeypatch)
+    unknotting_report(parse_pb_word("b13 B23", 5), budget=2)
+    assert [name for name, c in calls.items() if c == 0] == []
+    calls = count_contract_calls(monkeypatch)
+    gnk_report(BETA, budget=6)
+    assert [name for name, c in calls.items() if c == 0] == ["map_pb_to_g3", "map_pb_to_g4"]
+
+
 def test_certificate_serialization_round_trip(tmp_path):
     cert = gnk_report(BETA, budget=6)
     blob = cert.to_json()
