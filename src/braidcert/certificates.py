@@ -3,15 +3,14 @@
 A certificate records, for one input word, the reduced parity images and the
 bounds they imply, per (k, base) context, plus the best bound with its
 witnessing context.  Serialisation is deterministic (sorted keys, stable
-orderings); the timing field stays on the object and out of the JSON, so
-identical inputs produce identical bytes.
+orderings, no timing), so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 TOOL_VERSION = "0.1.0"
@@ -55,7 +54,6 @@ class Certificate:
     images: tuple[tuple[int, str], ...] = ()  # reduced image word per k
     trisecant_bound: int | None = None
     quadrisecant_bound: int | None = None
-    timing_ms: float | None = field(default=None, compare=False)
 
     @property
     def best(self) -> ContextReport | None:

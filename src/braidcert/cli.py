@@ -30,11 +30,15 @@ def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
     return parity.BaseChoice(n, k, m)
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
+def _rationals(text: str, count: int, message: str) -> list[Fraction]:
+    """Exactly ``count`` rationals separated by commas or semicolons."""
     try:
-        return [Fraction(tok) for tok in text.replace(";", ",").split(",") if tok]
+        values = [Fraction(tok) for tok in text.replace(";", ",").split(",") if tok]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational list {text!r}") from None
+    if len(values) != count:
+        raise ParseError(message)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +54,14 @@ def cmd_reduce(args) -> int:
         return 0
     if args.gnk is not None:
         w = gnk.parse_gnk_word(args.gnk, args.n, args.k).reduced()
-        print("reduced:", gnk.format_gnk_word(w) or "(empty)")
-        print("complexity:", len(w))
-        return 0
-    if args.even is not None:
+        text = gnk.format_gnk_word(w)
+    elif args.even is not None:
         w = words.reduce_involutive(pbraid.parse_even_word(args.even))
-        print("reduced:", pbraid.format_even_word(w) or "(empty)")
-        print("complexity:", len(w))
-        return 0
-    w = words.reduce_involutive(words.parse_inv_word(args.inv))
-    print("reduced:", words.format_inv_word(w) or "(empty)")
+        text = pbraid.format_even_word(w)
+    else:
+        w = words.reduce_involutive(words.parse_inv_word(args.inv))
+        text = words.format_inv_word(w)
+    print("reduced:", text or "(empty)")
     print("complexity:", len(w))
     return 0
 
@@ -267,29 +269,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_geometry(args) -> int:
     if args.op == "delta":
-        xs = _parse_fractions(args.values)
-        if len(xs) != 4:
-            raise ParseError("delta needs four abscissas")
+        xs = _rationals(args.values, 4, "delta needs four abscissas")
+        concyclic = geometry.concyclic_on_parabola(*xs)  # rejects repeats before any output
         print("delta:", geometry.delta_det(*xs))
         print("factored:", geometry.delta_factored(*xs))
-        print("concyclic:", "true" if geometry.concyclic_on_parabola(*xs) else "false")
+        print("concyclic:", "true" if concyclic else "false")
     elif args.op == "fourth":
-        ts = _parse_fractions(args.values)
-        if len(ts) != 3:
-            raise ParseError("fourth needs three abscissas")
+        ts = _rationals(args.values, 3, "fourth needs three abscissas")
         print("fourth_intersection:", geometry.fourth_intersection(*ts))
     elif args.op == "circle":
-        vals = _parse_fractions(args.values)
-        if len(vals) != 6:
-            raise ParseError("circle needs three points: x1,y1;x2,y2;x3,y3")
+        vals = _rationals(args.values, 6, "circle needs three points: x1,y1;x2,y2;x3,y3")
         pts = [(vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])]
         center, r2 = geometry.circle_through(*pts)
         print(f"center: {center[0]},{center[1]}")
         print("radius_sq:", r2)
     elif args.op == "slope":
-        ts = _parse_fractions(args.values)
-        if len(ts) != 3:
-            raise ParseError("slope needs tk,tl,tm")
+        ts = _rationals(args.values, 3, "slope needs tk,tl,tm")
         print("kappa:", geometry.slope_kappa(*ts))
     elif args.op == "growth":
         cfg = geometry.growth_sequence_case1(args.n)

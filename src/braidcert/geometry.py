@@ -40,10 +40,6 @@ from .gnk import GnkWord
 Point = tuple[Fraction, Fraction]
 
 
-def _fr(x) -> Fraction:
-    return Fraction(x)
-
-
 def _show(values) -> str:
     """A tuple of rationals as it reads in messages: (1, 1/2, 3)."""
     return "(" + ", ".join(str(v) for v in values) + ")"
@@ -55,7 +51,7 @@ def _show(values) -> str:
 def delta_det(x0, x1, x2, x3) -> Fraction:
     """Compatibility determinant of the linear system for a circle through
     the four parabola points: rows (x0-xi, x0^2-xi^2, xi^2-x0^2+xi^4-x0^4)."""
-    x0, x1, x2, x3 = _fr(x0), _fr(x1), _fr(x2), _fr(x3)
+    x0, x1, x2, x3 = Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)
     rows = [(x0 - xi, x0 * x0 - xi * xi, xi * xi - x0 * x0 + xi**4 - x0**4)
             for xi in (x1, x2, x3)]
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
@@ -67,7 +63,7 @@ def delta_det(x0, x1, x2, x3) -> Fraction:
 def delta_factored(x0, x1, x2, x3) -> Fraction:
     """Product form of the same determinant: all pairwise differences times
     the sum of the four abscissas."""
-    x0, x1, x2, x3 = _fr(x0), _fr(x1), _fr(x2), _fr(x3)
+    x0, x1, x2, x3 = Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)
     diffs = ((x0 - x1) * (x0 - x2) * (x0 - x3)
              * (x1 - x2) * (x1 - x3) * (x2 - x3))
     return diffs * (x0 + x1 + x2 + x3)
@@ -76,7 +72,7 @@ def delta_factored(x0, x1, x2, x3) -> Fraction:
 def concyclic_on_parabola(x0, x1, x2, x3) -> bool:
     """Four distinct parabola points lie on one circle iff their abscissas
     sum to zero."""
-    xs = (_fr(x0), _fr(x1), _fr(x2), _fr(x3))
+    xs = (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
     if len(set(xs)) != 4:
         raise DegenerateInput(f"abscissas must be pairwise distinct, got {_show(xs)}")
     return sum(xs) == 0
@@ -87,7 +83,7 @@ def fourth_intersection(ti, tj, tk) -> Fraction:
     points meets the parabola again: minus their sum.  Negative whenever the
     inputs are positive, so circles through the positive branch pick up no
     extra intersections there."""
-    ts = (_fr(ti), _fr(tj), _fr(tk))
+    ts = (Fraction(ti), Fraction(tj), Fraction(tk))
     if len(set(ts)) != 3:
         raise DegenerateInput(f"abscissas must be distinct, got {_show(ts)}")
     return -sum(ts)
@@ -95,7 +91,7 @@ def fourth_intersection(ti, tj, tk) -> Fraction:
 
 def circle_through(p1: Point, p2: Point, p3: Point) -> tuple[Point, Fraction]:
     """Exact circumcircle as (center, radius squared)."""
-    (x1, y1), (x2, y2), (x3, y3) = ((_fr(x), _fr(y)) for x, y in (p1, p2, p3))
+    (x1, y1), (x2, y2), (x3, y3) = ((Fraction(x), Fraction(y)) for x, y in (p1, p2, p3))
     d = 2 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
     if d == 0:
         raise NoCircle(f"collinear points {_show((x1, y1))}, {_show((x2, y2))}, {_show((x3, y3))}")
@@ -109,7 +105,7 @@ def circle_through(p1: Point, p2: Point, p3: Point) -> tuple[Point, Fraction]:
 def slope_kappa(tk, tl, tm) -> Fraction:
     """Tangent slope, at the parabola point with abscissa tk, of the circle
     through the parabola points tk, tl, tm.  Symmetric in (tl, tm)."""
-    tk, tl, tm = _fr(tk), _fr(tl), _fr(tm)
+    tk, tl, tm = Fraction(tk), Fraction(tl), Fraction(tm)
     if len({tk, tl, tm}) != 3:
         raise DegenerateInput(f"abscissas must be distinct, got {_show((tk, tl, tm))}")
     s, p = tl + tm, tl * tm
@@ -130,7 +126,7 @@ class ParabolaConfig:
     ts: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ts", tuple(_fr(t) for t in self.ts))
+        object.__setattr__(self, "ts", tuple(Fraction(t) for t in self.ts))
         if any(t <= 0 for t in self.ts):
             raise DegenerateInput("abscissas must be positive")
         if any(a >= b for a, b in zip(self.ts, self.ts[1:])):
@@ -334,7 +330,7 @@ def g4_word_geometric(i: int, j: int, cfg: ParabolaConfig) -> GnkWord:
 def ceil_sqrt(x: Fraction) -> Fraction:
     """A conservative rational upper bound on sqrt(x) (loose is fine: it only
     shrinks safety clearances)."""
-    x = _fr(x)
+    x = Fraction(x)
     if x < 0:
         raise DegenerateInput("negative radicand")
     if x == 0:

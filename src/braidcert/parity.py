@@ -29,10 +29,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .errors import InvalidContext, NotEvenWord
-from .gnk import GeneratorIndex, GnkWord
+from .gnk import GeneratorIndex, GnkWord, generators
 from .pbraid import PBWord, map_pb_to_g3, map_pb_to_g4
 
 ZVec = int
@@ -81,9 +80,7 @@ class BaseChoice:
 
 
 def all_bases(n: int, k: int) -> list[BaseChoice]:
-    if not 1 <= k <= n:
-        raise InvalidContext(f"need 1 <= k <= n, got n={n}, k={k}")
-    return [BaseChoice(n, k, m) for m in combinations(range(1, n + 1), k)]
+    return [BaseChoice(n, k, m) for m in generators(n, k)]
 
 
 def psi_letter(letter: GeneratorIndex, base: BaseChoice) -> ZVec:
@@ -133,17 +130,11 @@ def phi(w: GnkWord, base: BaseChoice) -> HWord:
     return phi_at(w, base, 0)[1]
 
 
-def h_complexity(y: HWord) -> int:
-    """phi outputs are already reduced, so complexity is plain length."""
-    return len(y)
-
-
 # ---------------------------------------------------------------------------
 # Event-count lower bounds for braids.
 
 def _event_lower_bound(image: GnkWord) -> int:
-    return max((h_complexity(phi(image, base)) for base in all_bases(image.n, image.k)),
-               default=0)
+    return max((len(phi(image, base)) for base in all_bases(image.n, image.k)), default=0)
 
 
 def trisecant_lower_bound(w: PBWord) -> int:

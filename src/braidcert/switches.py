@@ -20,11 +20,14 @@ in exactly one basis vector); the canonical key of the coset x + span is the
 reduction of x against that basis, which clears every leading bit and equals
 min(x ^ s for s in span).  A key costs O(dim) xors, so counting the letters
 of a word by coset costs O(len * dim), whatever the 2^dim size of Z.
+
+Both certificates come from one pass (_contexts) over the (k, base) contexts
+of their reduced images: unknotting_report feeds it the k = 3 and k = 4
+images of a pure braid, gnk_report the single word it is given.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +44,6 @@ from .parity import (
     all_bases,
     format_hword,
     format_zvec,
-    h_complexity,
     phi,
     # unused here, but kept as attributes of this module: per-layer tracing
     # (perfbench/spans.py) wraps switches.psi_letter and the two bounds
@@ -159,14 +161,12 @@ def apply_switch(w: HWord, pos: int, i: int, j: int, sys: SwitchSystem) -> HWord
 
 
 def switch_feasibility_necessary(w: HWord, sys: SwitchSystem) -> bool:
-    """Cheap necessary condition for switch-trivialisability: even reduced
-    length, and evenly many letters in every coset of the span of all z_ij
-    (switches move letters within their coset, and letters cancel in pairs)."""
-    word = reduce_involutive(w)
-    if len(word) % 2:
-        return False
-    counts = Counter(sys.full_key(x) for x in word)
-    return all(c % 2 == 0 for c in counts.values())
+    """Cheap necessary condition for switch-trivialisability: evenly many
+    letters in every coset of the span of all z_ij.  Switches move letters
+    within their coset and letters cancel in pairs, so no coset parity
+    changes; the word need not be reduced, and its length, the sum of the
+    counts, comes out even too."""
+    return all(c % 2 == 0 for c in Counter(sys.full_key(x) for x in w).values())
 
 
 def _check_budget(budget: int) -> None:
@@ -229,10 +229,7 @@ PiVector = frozenset  # support of an element of Z/2[Z]
 def pi_project(w: HWord) -> PiVector:
     """Natural projection H -> Z/2[Z]: the set of indices with odd letter
     multiplicity.  Invariant under free insertion of f_x f_x pairs."""
-    counts: dict[ZVec, int] = {}
-    for x in w:
-        counts[x] = counts.get(x, 0) + 1
-    return frozenset(x for x, c in counts.items() if c % 2)
+    return frozenset(x for x, c in Counter(w).items() if c % 2)
 
 
 def c_z_count(xi: PiVector, z: ZVec, sys: SwitchSystem) -> int:
@@ -275,46 +272,46 @@ def _context_report(base: BaseChoice, y: HWord, budget: int) -> ContextReport:
     )
 
 
+def _contexts(images: Sequence[GnkWord], budget: int
+              ) -> tuple[tuple[ContextReport, ...], dict[int, int]]:
+    """One pass over every (k, base) context of the reduced images, one image
+    per k: the context reports, and the length of the longest parity image
+    per k.  The budget is checked once, before any context."""
+    _check_budget(budget)
+    contexts: list[ContextReport] = []
+    longest: dict[int, int] = {}
+    for image in images:
+        for base in all_bases(image.n, image.k):
+            y = phi(image, base)
+            longest[image.k] = max(longest.get(image.k, 0), len(y))
+            contexts.append(_context_report(base, y, budget))
+    return tuple(contexts), longest
+
+
 def unknotting_report(w: PBWord, budget: int = 6) -> Certificate:
     """Certificate over k in {3, 4} and every base subset: rough projection
     bound plus (within budget) the exact minimal switch count, and the best
     resulting lower bound for the unknotting number.  The trisecant and
     quadrisecant bounds are the longest parity images of the same pass, as
     in trisecant_lower_bound and quadrisecant_lower_bound."""
-    _check_budget(budget)
-    started = time.perf_counter()
-    contexts: list[ContextReport] = []
-    images: list[tuple[int, str]] = []
-    event_bounds = {3: 0, 4: 0}
-    for k, mapper in ((3, map_pb_to_g3), (4, map_pb_to_g4)):
-        if w.n < k:
-            continue
-        image = mapper(w)
-        images.append((k, format_gnk_word(image)))
-        for base in all_bases(w.n, k):
-            y = phi(image, base)
-            event_bounds[k] = max(event_bounds[k], h_complexity(y))
-            contexts.append(_context_report(base, y, budget))
+    images = [mapper(w) for k, mapper in ((3, map_pb_to_g3), (4, map_pb_to_g4)) if w.n >= k]
+    contexts, longest = _contexts(images, budget)
     return Certificate(
         input_word=format_pb_word(w),
         input_kind="pb",
         n=w.n,
         budget=budget,
-        contexts=tuple(contexts),
-        images=tuple(images),
-        trisecant_bound=event_bounds[3],
-        quadrisecant_bound=event_bounds[4],
-        timing_ms=(time.perf_counter() - started) * 1000.0,
+        contexts=contexts,
+        images=tuple((image.k, format_gnk_word(image)) for image in images),
+        trisecant_bound=longest.get(3, 0),
+        quadrisecant_bound=longest.get(4, 0),
     )
 
 
 def gnk_report(w: GnkWord, budget: int = 6) -> Certificate:
     """Certificate for an even word given directly in one (n, k) group."""
-    _check_budget(budget)
-    started = time.perf_counter()
     reduced = w.reduced()
-    contexts = tuple(_context_report(base, phi(reduced, base), budget)
-                     for base in all_bases(w.n, w.k))
+    contexts, _ = _contexts([reduced], budget)
     return Certificate(
         input_word=format_gnk_word(w),
         input_kind="gnk",
@@ -322,5 +319,4 @@ def gnk_report(w: GnkWord, budget: int = 6) -> Certificate:
         budget=budget,
         contexts=contexts,
         images=((w.k, format_gnk_word(reduced)),),
-        timing_ms=(time.perf_counter() - started) * 1000.0,
     )

@@ -88,17 +88,6 @@ class Trajectory:
     def n(self) -> int:
         return len(self.paths)
 
-    def position(self, point: int, t: Fraction) -> Point:
-        """Exact position of 1-based point at rational time t."""
-        path = self.paths[point - 1]
-        for (t0, p0), (t1, p1) in zip(path, path[1:]):
-            if t0 <= t <= t1:
-                if t == t0:
-                    return p0
-                lam = (t - t0) / (t1 - t0)
-                return (p0[0] + lam * (p1[0] - p0[0]), p0[1] + lam * (p1[1] - p0[1]))
-        raise ValueError(f"time {t} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class SecantEvent:

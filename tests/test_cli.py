@@ -196,8 +196,9 @@ def test_geometry_ops(capsys):
     ("circle", "0,0;1,1;2,2", "collinear points (0, 0), (1, 1), (2, 2)"),
 ])
 def test_geometry_degenerate_input(capsys, op, values, message):
-    code, _, err = run(capsys, "geometry", "--op", op, "--values", values)
+    code, out, err = run(capsys, "geometry", "--op", op, "--values", values)
     assert code == 3
+    assert out == ""
     assert "Fraction(" not in err
     assert err == f"error: {message}\n"
 
