@@ -54,7 +54,6 @@ from .switches import (
     SwitchSystem,
     apply_switch,
     c_max,
-    c_z_count,
     gnk_report,
     min_switches,
     min_switches_witness,

@@ -25,7 +25,7 @@ class ContextReport:
     phi_image: str
     pi_support: tuple[str, ...]
     rough_bound: int
-    min_switches: int | None  # None when the search budget was exhausted
+    min_switches: int | None  # None when more than the budget of switches is needed
     feasible_necessary: bool
 
     @property

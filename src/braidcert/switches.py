@@ -9,9 +9,11 @@ switch replaces a single letter f_x of the image word by f_{x+z_ij}.  Here
 
 depends only on i, j and m.  The minimal number of switches needed to kill
 the image word is therefore a lower bound for the unknotting number of the
-braid; this module computes it exactly by breadth-first search (switches never
-increase the reduced length, so the state space is finite) together with the
-cheaper projection bound through the group algebra Z/2[Z].
+braid; this module computes it exactly by an interval DP over the
+non-crossing matchings of the image's letters (min_switches_witness): O(L^3)
+steps for an image of length L, plus a ball of radius at most ceil(budget/2)
+in the span of the switch vectors.  Next to it sits the cheaper projection
+bound through the group algebra Z/2[Z].
 
 Both the projection bound and the feasibility test count letters per coset
 of a subspace of Z, and never enumerate Z or the subspace.  A subspace is held
@@ -32,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .certificates import Certificate, ContextReport
 from .errors import InvalidBudget, InvalidPair
@@ -90,13 +92,6 @@ def gf2_basis(vectors: Iterable[ZVec]) -> tuple[ZVec, ...]:
     return tuple(basis)
 
 
-def _span(basis: Sequence[ZVec]) -> tuple[ZVec, ...]:
-    span = [0]
-    for b in basis:
-        span += [x ^ b for x in span]
-    return tuple(sorted(span))
-
-
 @dataclass(frozen=True)
 class SwitchSystem:
     """All switch vectors for one base, plus reduced bases of the two
@@ -104,8 +99,7 @@ class SwitchSystem:
     bound (pairs inside m).
 
     The constructor takes any generating sets and normalises them.  Coset
-    keys reduce against the bases in O(dim); the spans themselves are built
-    only on request and are not used by any bound."""
+    keys reduce against the bases in O(dim); the spans are never built."""
 
     base: BaseChoice
     pair_table: tuple[tuple[tuple[int, int], ZVec], ...]
@@ -135,14 +129,6 @@ class SwitchSystem:
     def full_key(self, x: ZVec) -> ZVec:
         """Canonical representative of x modulo the span of all z_ij."""
         return gf2_reduce(x, self.full_basis)
-
-    @cached_property
-    def z0_span(self) -> tuple[ZVec, ...]:
-        return _span(self.z0_basis)
-
-    @cached_property
-    def full_span(self) -> tuple[ZVec, ...]:
-        return _span(self.full_basis)
 
 
 def switch_system(base: BaseChoice) -> SwitchSystem:
@@ -174,10 +160,70 @@ def _check_budget(budget: int) -> None:
         raise InvalidBudget(f"budget must be nonnegative, got {budget}")
 
 
+def _distance(sys: SwitchSystem, cap: int) -> Callable[[ZVec], int]:
+    """Cayley distance d(x) in the span of the switch vectors, generated by
+    the distinct nonzero z_ij: the fewest switches whose vectors sum to x.
+    Distances above ``cap``, and x outside the span, come out as cap + 1.
+
+    The span is never enumerated.  Breadth-first search grows a ball around
+    0, one layer at a time and only as far as the queries need, up to radius
+    h = ceil(cap/2); inside it d is read off.  Beyond it, meet in the middle:
+    a shortest path of length D in h+1..cap splits into a head of D - h
+    switches and a tail of h, and no head shorter than D - h leaves a tail
+    inside the ball, so D - h is the first layer r <= cap - h holding some s
+    with x ^ s in the ball.  Answers are cached per x."""
+    gens = sorted({z for _, z in sys.pair_table if z})
+    half = (cap + 1) // 2
+    ball = {0: 0}
+    layers = [[0]]
+    cache: dict[ZVec, int] = {}
+
+    def d(x: ZVec) -> int:
+        if x in cache:
+            return cache[x]
+        cache[x] = cap + 1
+        if sys.full_key(x):
+            return cache[x]
+        while x not in ball and len(layers) <= half:
+            layers.append([])
+            for y in layers[-2]:
+                for g in gens:
+                    if y ^ g not in ball:
+                        ball[y ^ g] = len(layers) - 1
+                        layers[-1].append(y ^ g)
+        if x in ball:
+            cache[x] = ball[x]
+        else:
+            cache[x] = next((r + half for r in range(1, cap - half + 1)
+                             if any(x ^ s in ball for s in layers[r])), cap + 1)
+        return cache[x]
+
+    return d
+
+
+def _pairing_cost(w: HWord, d: Callable[[ZVec], int], cap: int
+                  ) -> tuple[int, dict[tuple[int, int], int]]:
+    """Interval DP over the non-crossing perfect matchings of an even-length
+    word: f(i, j) = min over k of d(w[i] ^ w[k]) + f(i+1, k) + f(k+1, j), the
+    least total distance of a matching of w[i:j].  Returns f(0, len(w)),
+    capped at cap + 1, and the first optimal partner k of i per interval."""
+    far = cap + 1
+    f = {(i, i): 0 for i in range(len(w) + 1)}
+    partner: dict[tuple[int, int], int] = {}
+    for length in range(2, len(w) + 1, 2):
+        for i in range(len(w) - length + 1):
+            j = i + length
+            f[i, j] = far
+            for k in range(i + 1, j, 2):
+                c = d(w[i] ^ w[k]) + f[i + 1, k] + f[k + 1, j]
+                if c < f[i, j]:
+                    f[i, j], partner[i, j] = c, k
+    return f[0, len(w)], partner
+
+
 def min_switches(w: HWord, sys: SwitchSystem, budget: int = 6) -> int | None:
     """Exact minimal number of switches to reach the empty word, or None when
-    more than ``budget`` would be needed.  Breadth-first search over reduced
-    words; moves are one switch at any position with any strand pair."""
+    more than ``budget`` would be needed (see min_switches_witness)."""
     count, _ = min_switches_witness(w, sys, budget)
     return count
 
@@ -185,39 +231,60 @@ def min_switches(w: HWord, sys: SwitchSystem, budget: int = 6) -> int | None:
 def min_switches_witness(
     w: HWord, sys: SwitchSystem, budget: int = 6
 ) -> tuple[int | None, tuple[tuple[int, int, int], ...] | None]:
-    """Like min_switches but also returns one optimal move sequence, each move
-    a (position, i, j) triple.  Expansion order is sorted, so the witness is
-    deterministic."""
+    """Exact minimal number of switches that reduce w to the empty word, with
+    one optimal move sequence, each move a (position, i, j) triple for
+    apply_switch; (None, None) when more than ``budget`` switches are needed.
+
+    The minimum is the interval DP value f of the reduced word (_pairing_cost):
+    the least sum of d(x_a ^ x_b) over non-crossing perfect matchings of its
+    letters, d the Cayley distance over the distinct nonzero z_ij (_distance).
+    f is infinite for odd words and for letters whose cosets do not pair up.
+
+    Soundness (f <= true minimum).  Follow the original letters through any
+    switch sequence that ends in the empty word.  Each cancellation removes
+    two letters adjacent at that moment, so the cancelled pairs form a
+    non-crossing perfect matching.  When a pair (a, b) cancels, the switches
+    applied to a and to b sum to x_a ^ x_b, so there are at least d(x_a ^ x_b)
+    of them, and the sequence is at least as long as the matching's cost.
+
+    Realisation (f switches suffice).  An optimal matching of a nonempty
+    reduced word has an innermost pair (p, p+1), and it costs c >= 1 since
+    the word is reduced.  Switch position p by the first z_ij of a shortest
+    path from x_p to x_{p+1}: the pair then costs c - 1, and the matching
+    f - 1.  Reduction then cancels neighbours u, v with x_u = x_v, one pair
+    at a time.  If u and v are partners, drop their pair.  Otherwise pair
+    their partners a and b instead: d(x_a ^ x_b) <= d(x_a ^ x_u) + d(x_v ^ x_b),
+    and the matching stays non-crossing.  So the reduced word reached has DP
+    value at most f - 1.  A reduced word of value 0 is empty, since an
+    innermost pair of a matching of cost 0 is two equal neighbours; by
+    induction on f, f switches suffice.
+
+    The two together make f exact.  The witness is built by exactly that
+    step, with the DP recomputed after each switch, and the replay checks
+    that the word reaches () in exactly f moves on every answer."""
     _check_budget(budget)
-    start = reduce_involutive(w)
-    if not start:
+    word = reduce_involutive(w)
+    if not word:
         return 0, ()
-    if not switch_feasibility_necessary(start, sys):
+    if budget == 0 or len(word) % 2:
         return None, None
-    moves = sorted(set(sys.pairs))
-    seen: dict[HWord, tuple[HWord, tuple[int, int, int]] | None] = {start: None}
-    frontier = [start]
-    for depth in range(1, budget + 1):
-        nxt: list[HWord] = []
-        for state in frontier:
-            for pos in range(len(state)):
-                for (i, j) in moves:
-                    child = apply_switch(state, pos, i, j, sys)
-                    if child in seen:
-                        continue
-                    seen[child] = (state, (pos, i, j))
-                    if not child:
-                        path: list[tuple[int, int, int]] = []
-                        cur: HWord = child
-                        while seen[cur] is not None:
-                            cur, move = seen[cur]  # type: ignore[misc]
-                            path.append(move)
-                        return depth, tuple(reversed(path))
-                    nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            break
-    return None, None
+    d = _distance(sys, budget)
+    count, partner = _pairing_cost(word, d, budget)
+    if count > budget:
+        return None, None
+    moves: list[tuple[int, int, int]] = []
+    for left in range(count - 1, -1, -1):
+        p, end = 0, len(word)
+        while partner[p, end] != p + 1:
+            p, end = p + 1, partner[p, end]
+        x = word[p] ^ word[p + 1]
+        i, j = next(pair for pair, z in sys.pair_table if z and d(x ^ z) < d(x))
+        moves.append((p, i, j))
+        word = apply_switch(word, p, i, j, sys)
+        f, partner = _pairing_cost(word, d, left)
+        assert f == left, f"switch replay left cost {f}, expected {left}"
+    assert word == (), f"switch replay ended at {word}"
+    return count, tuple(moves)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +299,12 @@ def pi_project(w: HWord) -> PiVector:
     return frozenset(x for x, c in Counter(w).items() if c % 2)
 
 
-def c_z_count(xi: PiVector, z: ZVec, sys: SwitchSystem) -> int:
-    """Number of nonzero coefficients of xi in the coset z + Z0 (Z0 spanned by
-    the switch vectors of pairs inside m).  Depends only on the coset of z."""
-    return sum(1 for z0 in sys.z0_span if (z ^ z0) in xi)
-
-
 def c_max(xi: PiVector, sys: SwitchSystem) -> int:
-    """Max of c_z_count over Z: the size of the largest group of supp(xi)
-    under the Z0 coset key, 0 when xi is empty.  Cosets that miss xi count 0,
-    so only the O(|xi|) letters are keyed, at O(dim) each."""
+    """Max over z in Z of the number of nonzero coefficients of xi in the
+    coset z + Z0 (Z0 spanned by the switch vectors of pairs inside m): the
+    size of the largest group of supp(xi) under the Z0 coset key, 0 when xi
+    is empty.  Cosets that miss xi count 0, so only the O(|xi|) letters are
+    keyed, at O(dim) each."""
     return max(Counter(sys.z0_key(x) for x in xi).values(), default=0)
 
 

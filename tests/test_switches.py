@@ -2,16 +2,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcert.certificates import input_hash, persist
 from braidcert.gnk import GnkWord, c_full, parse_gnk_word, relators
 from braidcert.parity import BaseChoice, all_bases, phi
-from braidcert.pbraid import parse_pb_word
+from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
 from braidcert.switches import (
     SwitchSystem,
+    _distance,
     apply_switch,
     c_max,
-    c_z_count,
     gf2_basis,
     gf2_reduce,
     gnk_report,
@@ -25,6 +26,13 @@ from braidcert.switches import (
     z_pair,
 )
 from braidcert.words import reduce_involutive
+from switch_oracles import (
+    bfs_min_switches_witness,
+    c_z_count,
+    full_span,
+    span_by_enumeration,
+    z0_span,
+)
 
 BASE = BaseChoice(4, 3, (1, 2, 3))
 E1, E2 = 0b01, 0b10
@@ -48,8 +56,8 @@ def test_z_pair_examples():
 
 
 def test_switch_system_spans():
-    assert SYS.z0_span == (0, E1, E2, E1 | E2)  # pairs inside m span everything
-    assert SYS.full_span == (0, E1, E2, E1 | E2)
+    assert z0_span(SYS) == (0, E1, E2, E1 | E2)  # pairs inside m span everything
+    assert full_span(SYS) == (0, E1, E2, E1 | E2)
     assert SYS.pairs == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
@@ -85,8 +93,8 @@ def test_feasibility_coset_obstruction():
     # so a letter pair split across distinct cosets is infeasible
     base5 = BaseChoice(5, 3, (1, 2, 3))
     sys5 = switch_system(base5)
-    if len(sys5.full_span) < (1 << base5.dim):
-        outside = next(x for x in range(1 << base5.dim) if x not in sys5.full_span)
+    if len(full_span(sys5)) < (1 << base5.dim):
+        outside = next(x for x in range(1 << base5.dim) if x not in full_span(sys5))
         assert not switch_feasibility_necessary((0, outside), sys5)
 
 
@@ -143,7 +151,7 @@ def test_c_counts_worked_example():
 
 
 def test_c_count_singleton_subgroup():
-    trivial = SwitchSystem(BASE, SYS.pair_table, (0,), SYS.full_span)
+    trivial = SwitchSystem(BASE, SYS.pair_table, (0,), full_span(SYS))
     assert c_max(frozenset({E1}), trivial) == 1
     assert c_z_count(frozenset({E1}), E1, trivial) == 1
     assert c_z_count(frozenset({E1}), E2, trivial) == 0
@@ -156,7 +164,7 @@ def test_c_z_depends_only_on_coset():
     for _ in range(50):
         xi = frozenset(rng.sample(range(1 << base5.dim), rng.randrange(5)))
         for z in range(1 << base5.dim):
-            for z0 in sys5.z0_span:
+            for z0 in z0_span(sys5):
                 assert c_z_count(xi, z, sys5) == c_z_count(xi, z ^ z0, sys5)
 
 
@@ -216,35 +224,113 @@ def test_min_switches_at_least_rough_bound():
 
 
 # ---------------------------------------------------------------------------
-# Oracles for the echelon coset keys: the definitions by span enumeration.
+# The exact switch minimum: the interval DP against the breadth-first oracle.
 
-def span_by_enumeration(vectors):
-    span = {0}
-    for v in vectors:
-        span |= {x ^ v for x in span}
-    return sorted(span)
+def braid_image_contexts():
+    """(image, system) for every (k, base) context, k = 3 and 4, of the
+    images of seeded random pure braids of length 2-8 at n = 4 and 5."""
+    rng = random.Random(0)
+    out = []
+    for n in (4, 5):
+        for _ in range(5):
+            letters = []
+            for _ in range(rng.randrange(2, 9)):
+                i, j = sorted(rng.sample(range(1, n + 1), 2))
+                letters.append(pb_letter(i, j, rng.choice((1, -1)), n=n))
+            w = PBWord(n, tuple(letters))
+            for image in (map_pb_to_g3(w), map_pb_to_g4(w)):
+                out += [(phi(image, base), switch_system(base))
+                        for base in all_bases(n, image.k)]
+    return out
 
+
+CORPUS = braid_image_contexts()
+
+
+def test_min_switches_matches_bfs_oracle():
+    for y, sys in CORPUS:
+        m, _ = bfs_min_switches_witness(y, sys, 4)
+        for budget in range(5):
+            expect = m if m is not None and m <= budget else None
+            assert min_switches(y, sys, budget) == expect, (y, sys.base.m, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=8), st.integers(0, 4))
+def test_min_switches_matches_bfs_on_short_words(letters, budget):
+    w = tuple(letters)
+    assert min_switches(w, SYS, budget) == bfs_min_switches_witness(w, SYS, budget)[0]
+
+
+def test_witness_replays_in_exactly_count_moves():
+    for y, sys in CORPUS:
+        count, witness = min_switches_witness(y, sys, 64)
+        assert min_switches_witness(y, sys, 64) == (count, witness)
+        if count is None:
+            assert witness is None
+            continue
+        assert len(witness) == count
+        for pos, i, j in witness:
+            y = apply_switch(y, pos, i, j, sys)
+        assert y == ()
+
+
+def test_budget_caps_the_minimum():
+    for y, sys in CORPUS:
+        m = min_switches(y, sys, 64)
+        for budget in range(7):
+            assert min_switches(y, sys, budget) == (m if m is not None and m <= budget else None)
+
+
+def test_hard_word_minimum():
+    # minimum 5 on an image of length 10: the breadth-first search explored
+    # millions of words at budget 4 without settling this context
+    w = parse_pb_word("B34 b15 b24 b12 b35 b25 b25 b35 B34 b35", 5)
+    base = BaseChoice(5, 3, (3, 4, 5))
+    y, sys = phi(map_pb_to_g3(w), base), switch_system(base)
+    assert len(y) == 10
+    assert min_switches(y, sys, 4) is None
+    assert min_switches(y, sys, 5) == 5
+
+
+def test_feasibility_runs_once_per_context(monkeypatch):
+    import braidcert.switches as switches
+
+    def no_distances(*args):
+        raise AssertionError("budget 0 needs no switch distances")
+
+    calls = count_contract_calls(monkeypatch)
+    monkeypatch.setattr(switches, "_distance", no_distances)
+    cert = unknotting_report(parse_pb_word("B67 B36", 7), budget=0)
+    assert len(cert.contexts) == 70
+    assert calls["switch_feasibility_necessary"] == 70
+    assert calls["apply_switch"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the echelon coset keys and the switch distances: the
+# definitions by span enumeration.
 
 def key_by_enumeration(x, span):
     return min(x ^ s for s in span)
 
 
-def c_max_by_enumeration(xi, sys, z0_span):
+def c_max_by_enumeration(xi, sys, z0):
     best = 0
     seen = set()
     for z in range(1 << sys.base.dim):
-        key = key_by_enumeration(z, z0_span)
+        key = key_by_enumeration(z, z0)
         if key not in seen:
             seen.add(key)
-            best = max(best, sum(1 for z0 in z0_span if (key ^ z0) in xi))
+            best = max(best, sum(1 for s in z0 if (key ^ s) in xi))
     return best
 
 
-def feasible_by_enumeration(w, full_span):
+def feasible_by_enumeration(w, full):
     word = reduce_involutive(w)
     counts = {}
     for x in word:
-        key = key_by_enumeration(x, full_span)
+        key = key_by_enumeration(x, full)
         counts[key] = counts.get(key, 0) + 1
     return len(word) % 2 == 0 and all(c % 2 == 0 for c in counts.values())
 
@@ -265,27 +351,53 @@ ORACLE_SYSTEMS = [switch_system(base)
                   for n in range(4, 7) for k in (3, 4) for base in all_bases(n, k)]
 
 
+def cayley_distances(sys):
+    """Distance from 0 of every element of the span of all z_ij, by
+    breadth-first search over the whole span."""
+    gens = {z for _, z in sys.pair_table if z}
+    dist = {0: 0}
+    layer = [0]
+    while layer:
+        nxt = []
+        for x in layer:
+            for g in gens:
+                if x ^ g not in dist:
+                    dist[x ^ g] = dist[x] + 1
+                    nxt.append(x ^ g)
+        layer = nxt
+    return dist
+
+
+@pytest.mark.parametrize("sys", ORACLE_SYSTEMS, ids=lambda s: f"n{s.base.n}m{''.join(map(str, s.base.m))}")
+def test_distance_matches_cayley_bfs(sys):
+    dist = cayley_distances(sys)
+    for cap in range(7):
+        d = _distance(sys, cap)
+        for x in range(1 << sys.base.dim):
+            assert d(x) == min(dist.get(x, cap + 1), cap + 1), (x, cap)
+
+
 @pytest.mark.parametrize("sys", ORACLE_SYSTEMS, ids=lambda s: f"n{s.base.n}m{''.join(map(str, s.base.m))}")
 def test_echelon_keys_match_span_enumeration(sys):
     rng = random.Random(repr((sys.base.n, sys.base.m)))
     dim = sys.base.dim
     assert all(z == z_pair_by_definition(i, j, sys.base) for (i, j), z in sys.pair_table)
-    z0_span = span_by_enumeration(z for (i, j), z in sys.pair_table
-                                  if i in sys.base.m and j in sys.base.m)
-    full_span = span_by_enumeration(z for _, z in sys.pair_table)
-    assert list(sys.z0_span) == z0_span and list(sys.full_span) == full_span
-    assert len(sys.z0_basis) == len(z0_span).bit_length() - 1
-    assert len(sys.full_basis) == len(full_span).bit_length() - 1
+    z0 = span_by_enumeration(z for (i, j), z in sys.pair_table
+                             if i in sys.base.m and j in sys.base.m)
+    full = span_by_enumeration(z for _, z in sys.pair_table)
+    assert list(z0_span(sys)) == z0 and list(full_span(sys)) == full
+    assert len(sys.z0_basis) == len(z0).bit_length() - 1
+    assert len(sys.full_basis) == len(full).bit_length() - 1
     probes = range(1 << dim) if dim <= 6 else [rng.randrange(1 << dim) for _ in range(64)]
     for x in probes:
-        assert sys.z0_key(x) == key_by_enumeration(x, z0_span)
-        assert sys.full_key(x) == key_by_enumeration(x, full_span)
+        assert sys.z0_key(x) == key_by_enumeration(x, z0)
+        assert sys.full_key(x) == key_by_enumeration(x, full)
     for _ in range(20):
         xi = frozenset(rng.randrange(1 << dim) for _ in range(rng.randrange(12)))
-        assert c_max(xi, sys) == c_max_by_enumeration(xi, sys, z0_span)
+        assert c_max(xi, sys) == c_max_by_enumeration(xi, sys, z0)
     for _ in range(20):
         w = tuple(rng.randrange(1 << dim) for _ in range(rng.randrange(8)))
-        assert switch_feasibility_necessary(w, sys) == feasible_by_enumeration(w, full_span)
+        assert switch_feasibility_necessary(w, sys) == feasible_by_enumeration(w, full)
         assert switch_feasibility_necessary(w + w[::-1], sys)
 
 
@@ -309,13 +421,13 @@ def test_gf2_basis_is_canonical():
 def test_c_max_wide_base():
     # n = 12, k = 4: dim = 24, so a pass over all of Z would take hours
     sys = switch_system(BaseChoice(12, 4, (2, 5, 7, 11)))
-    assert sys.base.dim == 24 and len(sys.z0_span) == 4
+    assert sys.base.dim == 24 and len(z0_span(sys)) == 4
     rng = random.Random(18)
     xi = {rng.randrange(1 << 24) for _ in range(300)}
-    xi |= {x ^ z0 for x in list(xi)[:5] for z0 in sys.z0_span}
+    xi |= {x ^ z0 for x in list(xi)[:5] for z0 in z0_span(sys)}
     groups = {}
     for x in xi:
-        key = key_by_enumeration(x, sys.z0_span)
+        key = key_by_enumeration(x, z0_span(sys))
         groups[key] = groups.get(key, 0) + 1
     assert c_max(frozenset(xi), sys) == max(groups.values()) == 4
 
