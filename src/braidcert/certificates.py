@@ -86,12 +86,15 @@ def input_hash(kind: str, word_text: str, n: int, budget: int) -> str:
     return digest[:16]
 
 
-def persist(cert: Certificate, out_dir: str | Path) -> Path:
-    """Write the certificate to one JSON file keyed by the input hash.
-    Re-runs recompute and overwrite with identical bytes."""
+def persist(cert: Certificate, out_dir: str | Path) -> tuple[Path, str]:
+    """Write the certificate to one JSON file keyed by the input hash and
+    return the path with the JSON text written (without the final newline),
+    so callers print the same bytes without serialising again.  Re-runs
+    recompute and overwrite with identical bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = input_hash(cert.input_kind, cert.input_word, cert.n, cert.budget)
     path = out / f"certificate-{name}.json"
-    path.write_text(cert.to_json() + "\n")
-    return path
+    text = cert.to_json()
+    path.write_text(text + "\n")
+    return path, text

@@ -5,7 +5,9 @@ output is deterministic for fixed inputs and flags (stable orderings, sorted
 JSON keys, no timestamps); randomized verification suites take --seed.
 
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
-violation or an unwritable output path.
+violation or an unwritable output path.  Parabola motions are limited to
+n <= 7, so `simulate --kind parabola` and `verify --suite tracer` with
+n >= 8 exit 3.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def cmd_bounds(args) -> int:
     else:
         w = pbraid.parse_pb_word(args.word, args.n)
         cert = switches.unknotting_report(w, budget=args.budget)
-    path = certificates.persist(cert, args.out_dir)
-    print(cert.to_json())
+    path, text = certificates.persist(cert, args.out_dir)
+    print(text)
     print(f"saved: {path}", file=sys.stderr)
     return 0
 
@@ -209,12 +211,14 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             w = pbraid.PBWord(n, (pbraid.pb_letter(i, j),))
-            traced = trace.trisecant_trace(trace.simulate_bij_circle(i, j, n))
+            _, events = trace.simulate_bij_circle(i, j, n)
+            traced = trace.event_word(n, 3, events)
             image = pbraid.map_pb_to_g3(w, reduced=False)
             checks.append((f"circle trace of b{i}{j} matches the k=3 image",
                            agrees(traced, image, bases)))
     if n >= 4:
-        traced = trace.concyclic_trace(trace.simulate_bij_parabola(1, 2, n))
+        _, events = trace.simulate_bij_parabola(1, 2, n)
+        traced = trace.event_word(n, 4, events)
         image = pbraid.map_pb_to_g4(pbraid.PBWord(n, (pbraid.pb_letter(1, 2),)), reduced=False)
         checks.append(("parabola trace of b12 matches the k=4 image",
                        agrees(traced, image, parity.all_bases(n, 4))))
@@ -244,10 +248,9 @@ def cmd_verify(args) -> int:
 # simulate
 
 def cmd_simulate(args) -> int:
-    if args.kind == "circle":
-        traj = trace.simulate_bij_circle(args.i, args.j, args.n)
-    else:
-        traj = trace.simulate_bij_parabola(args.i, args.j, args.n)
+    k = 3 if args.kind == "circle" else 4
+    build = trace.simulate_bij_circle if k == 3 else trace.simulate_bij_parabola
+    traj, events = build(args.i, args.j, args.n)
     payload = trace.trajectory_to_json(traj)
     if args.out:
         with open(args.out, "w") as fh:
@@ -256,9 +259,7 @@ def cmd_simulate(args) -> int:
     else:
         print(payload)
     if args.trace:
-        k = 3 if args.kind == "circle" else 4
-        events = trace.trace_events(traj, k)
-        word = gnk.GnkWord(traj.n, k, tuple(ev.participants for ev in events))
+        word = trace.event_word(traj.n, k, events)
         print("word:", gnk.format_gnk_word(word) or "(empty)")
         print("events:", json.dumps(trace.event_log(events), sort_keys=True))
     return 0

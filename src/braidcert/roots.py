@@ -168,6 +168,15 @@ def _sign_two_sqrt(r: Fraction, u: Fraction, d1: Fraction,
     return _sign(r) if cmp > 0 else s_sign
 
 
+def _normal_quadratic(p: Poly) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(c0, c1, c2, disc) of a quadratic c0 + c1 t + c2 t^2, signs flipped so
+    that c2 > 0 (same roots), with disc = c1^2 - 4 c2 c0."""
+    c0, c1, c2 = p
+    if c2 < 0:
+        c0, c1, c2 = -c0, -c1, -c2
+    return c0, c1, c2, c1 * c1 - 4 * c2 * c0
+
+
 @dataclass(frozen=True)
 class RealRoot:
     """One real algebraic number: either exact == True and lo == hi is the
@@ -189,10 +198,7 @@ class RealRoot:
         (-B + e*sqrt(D)) / (2A) with A > 0: returns (A, B, D, e)."""
         if self.exact or len(self.minimal) != 3:
             return None
-        c0, c1, c2 = self.minimal
-        if c2 < 0:
-            c0, c1, c2 = -c0, -c1, -c2
-        disc = c1 * c1 - 4 * c2 * c0
+        c0, c1, c2, disc = _normal_quadratic(self.minimal)
         # squarefree quadratic over Q with a real root has disc > 0; which of
         # the two roots sits in (lo, hi) is read off the endpoint sign: with
         # positive leading coefficient, the parabola is positive left of the
@@ -217,10 +223,7 @@ def _isolate_quadratic(p: Poly, lo: Fraction, hi: Fraction) -> list[RealRoot]:
     """Direct isolation for squarefree quadratics: membership of each closed-
     form root in (lo, hi) is decided by exact surd-sign tests, and the vertex
     splits the two roots, so no bisection is ever needed."""
-    c0, c1, c2 = p
-    if c2 < 0:
-        c0, c1, c2 = -c0, -c1, -c2
-    disc = c1 * c1 - 4 * c2 * c0
+    _, c1, c2, disc = _normal_quadratic(p)
     if disc <= 0:
         return []  # squarefree quadratics have disc != 0; disc < 0: no real roots
     vertex = -c1 / (2 * c2)

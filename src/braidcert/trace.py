@@ -25,6 +25,9 @@ the mover hops over each passed point and otherwise stays inside the safe
 strip between the parabola and the lowest circle arcs.  All clearances are
 rational, every constructed segment is checked exactly against every static
 chord/circle, and offsets are halved deterministically (bounded retries).
+Each simulator validates its motion with one exact trace and returns it as
+(trajectory, events), so a motion is never traced twice; event_word turns
+the events into the G_n^k word.
 """
 
 from __future__ import annotations
@@ -198,16 +201,20 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
     return events
 
 
+def event_word(n: int, k: int, events: Iterable[SecantEvent]) -> GnkWord:
+    """The (n, k) group word of a traced event list: one letter per event,
+    naming its participants, in time order."""
+    return GnkWord(n, k, tuple(ev.participants for ev in events))
+
+
 def trisecant_trace(traj: Trajectory) -> GnkWord:
     """Word of collinearity events, one k = 3 letter per event, in time order."""
-    events = trace_events(traj, 3)
-    return GnkWord(traj.n, 3, tuple(ev.participants for ev in events))
+    return event_word(traj.n, 3, trace_events(traj, 3))
 
 
 def concyclic_trace(traj: Trajectory) -> GnkWord:
     """Word of concyclicity events, one k = 4 letter per event, in time order."""
-    events = trace_events(traj, 4)
-    return GnkWord(traj.n, 4, tuple(ev.participants for ev in events))
+    return event_word(traj.n, 4, trace_events(traj, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +331,9 @@ def _min_gap_sq(params: Iterable[Fraction]) -> Fraction:
     return best
 
 
-def simulate_bij_circle(i: int, j: int, n: int) -> Trajectory:
-    """Closed motion realising the generator b_ij on a circle configuration.
+def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[SecantEvent]]:
+    """Closed motion realising the generator b_ij on a circle configuration,
+    returned with its trisecant events (the trace that validated it).
 
     Points sit at rational circle points (tangent-half-angle parameters
     1, 2, ..., n, all on the upper arc, counterclockwise).  Stage 1: point i
@@ -346,8 +354,7 @@ def simulate_bij_circle(i: int, j: int, n: int) -> Trajectory:
     for _ in range(16):
         traj = _build_circle_trajectory(i, j, n, home, rho, lam, eps)
         try:
-            trisecant_trace(traj)
-            return traj
+            return traj, trace_events(traj, 3)
         except NonGenericTrajectory as exc:
             last_error = exc
             eps /= 2
@@ -522,8 +529,9 @@ def _motion_word_g4(i: int, j: int, cfg: ParabolaConfig) -> tuple[tuple[int, ...
     return tuple(letters)
 
 
-def simulate_bij_parabola(i: int, j: int, n: int) -> Trajectory:
-    """Closed motion realising b_ij on a fast-growing parabola configuration.
+def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[SecantEvent]]:
+    """Closed motion realising b_ij on a fast-growing parabola configuration,
+    returned with its concyclicity events (the trace that validated it).
 
     The abscissas come from the canonical growth sequence, upgraded until the
     case-2/3 growth condition holds, so the crossing orders are frozen;
@@ -531,9 +539,15 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> Trajectory:
     against every static circle during the build, and the full concyclicity
     trace must reproduce the crossing-order word before the trajectory is
     returned (offsets are halved otherwise, bounded retries).
+
+    n is limited to 4..7: from n = 8 on the growth sequence makes the build
+    take close to a minute and the coordinates outgrow the decimal integers
+    that trajectory_to_json can write.
     """
     if n < 4:
         raise InvalidContext(f"parabola motions need n >= 4, got {n}")
+    if n > 7:
+        raise InvalidContext(f"parabola motions need n <= 7, got {n}")
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     cfg = upgrade_to_case23(growth_sequence_case1(n))
@@ -543,9 +557,9 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> Trajectory:
     for _ in range(12):
         try:
             traj = _build_parabola_trajectory(i, j, n, cfg, scale)
-            word = concyclic_trace(traj)
-            if word.letters == expected:
-                return traj
+            events = trace_events(traj, 4)
+            if event_word(n, 4, events).letters == expected:
+                return traj, events
             last_error = RuntimeError("traced word disagrees with the crossing orders")
         except (_BuildRetry, NonGenericTrajectory) as exc:
             last_error = exc

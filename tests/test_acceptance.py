@@ -51,7 +51,7 @@ from braidcert.switches import (
     switch_system,
     z_pair,
 )
-from braidcert.trace import simulate_bij_circle, simulate_bij_parabola, concyclic_trace, trisecant_trace
+from braidcert.trace import event_word, simulate_bij_circle, simulate_bij_parabola
 from braidcert.words import (
     complexity,
     parse_toy_word,
@@ -200,13 +200,13 @@ def test_criterion_6_tracer_cross_validation():
     bases3 = all_bases(4, 3)
     for i in range(1, 4):
         for j in range(i + 1, 5):
-            traced = trisecant_trace(simulate_bij_circle(i, j, 4))
+            traced = event_word(4, 3, simulate_bij_circle(i, j, 4)[1])
             image = map_pb_to_g3(PBWord(4, (pb_letter(i, j),)), reduced=False)
             assert is_even(traced)
             for base in bases3:
                 assert psi_word(traced, base) == psi_word(image, base)
                 assert phi(traced, base) == phi(image, base)
-    traced = concyclic_trace(simulate_bij_parabola(1, 2, 4))
+    traced = event_word(4, 4, simulate_bij_parabola(1, 2, 4)[1])
     image = map_pb_to_g4(parse_pb_word("b12", 4), reduced=False)
     assert is_even(traced)
     for base in all_bases(4, 4):

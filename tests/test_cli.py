@@ -89,6 +89,25 @@ def test_bounds_deterministic_bytes(tmp_path, capsys):
     assert len(files) == 1
 
 
+def test_bounds_serialises_once(tmp_path, capsys, monkeypatch):
+    from braidcert import certificates
+
+    calls = []
+    to_json = certificates.Certificate.to_json
+
+    def counting(cert):
+        calls.append(cert)
+        return to_json(cert)
+
+    monkeypatch.setattr(certificates.Certificate, "to_json", counting)
+    code, out, _ = run(capsys, "bounds", "--n", "4", "--budget", "2",
+                       "--out-dir", str(tmp_path), "b13 B23")
+    assert code == 0
+    assert len(calls) == 1
+    [saved] = tmp_path.glob("certificate-*.json")
+    assert saved.read_text() == out == to_json(calls[0]) + "\n"
+
+
 def test_bounds_odd_gnk_word_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "--gnk", "--n", "4", "--k", "3",
                        "--out-dir", str(tmp_path), "a123")
@@ -154,6 +173,74 @@ def test_simulate_trace_flag(capsys):
     assert code == 0
     assert "word: a123 a123" in out
     assert '"kind": "trisecant"' in out
+
+
+def test_simulate_parabola_size_limit(capsys):
+    code, out, err = run(capsys, "simulate", "--kind", "parabola", "--i", "1",
+                         "--j", "2", "--n", "8", "--trace")
+    assert code == 3
+    assert out == ""
+    assert err == "error: parabola motions need n <= 7, got 8\n"
+
+
+# The per-layer benchmark wraps these attributes of ``trace`` (its build and
+# trace spans, and a hook reading the trajectory and k as the two positional
+# arguments of trace_events); the CLI and the builders must look each one up
+# in the module at call time, or the wrapper sees no call.
+TRACER_CONTRACT_ATTRS = ("simulate_bij_circle", "simulate_bij_parabola", "trace_events")
+
+
+def count_tracer_calls(monkeypatch):
+    from braidcert import trace
+
+    calls = {name: [] for name in TRACER_CONTRACT_ATTRS}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACER_CONTRACT_ATTRS:
+        monkeypatch.setattr(trace, name, counting(name, getattr(trace, name)))
+    return calls
+
+
+SIMULATE_TRACE = {
+    "circle": ("simulate", "--kind", "circle", "--i", "1", "--j", "3", "--n", "4", "--trace"),
+    "parabola": ("simulate", "--kind", "parabola", "--i", "1", "--j", "2", "--n", "4", "--trace"),
+}
+
+
+def test_tracer_calls_through_module_attributes(capsys, monkeypatch):
+    from braidcert.trace import Trajectory
+
+    steps = [
+        (SIMULATE_TRACE["circle"], ["simulate_bij_parabola"]),
+        (SIMULATE_TRACE["parabola"], ["simulate_bij_circle"]),
+        (("verify", "--suite", "tracer", "--n", "4"), []),
+    ]
+    for argv, unused in steps:
+        calls = count_tracer_calls(monkeypatch)
+        assert run(capsys, *argv)[0] == 0
+        assert [name for name, c in calls.items() if not c] == unused
+        for args, kwargs in calls["trace_events"]:
+            assert kwargs == {} and len(args) == 2
+            assert isinstance(args[0], Trajectory) and args[1] in (3, 4)
+
+
+@pytest.mark.parametrize("argv, traces", [
+    (SIMULATE_TRACE["circle"], 1),
+    (SIMULATE_TRACE["parabola"], 1),
+    (("verify", "--suite", "tracer", "--n", "4"), 7),
+    (("verify", "--suite", "tracer", "--n", "5"), 11),
+])
+def test_each_motion_traced_once(capsys, monkeypatch, argv, traces):
+    calls = count_tracer_calls(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    builds = len(calls["simulate_bij_circle"]) + len(calls["simulate_bij_parabola"])
+    assert builds == traces
+    assert len(calls["trace_events"]) == traces
 
 
 def test_unwritable_output_paths_exit_code(tmp_path, capsys):

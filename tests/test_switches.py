@@ -521,9 +521,10 @@ def test_certificate_serialization_round_trip(tmp_path):
     assert data["best_bound"] == 2
     assert data["tool_version"] == "0.1.0"
     assert "timing_ms" not in data  # deterministic bytes by default
-    path = persist(cert, tmp_path)
+    path, text = persist(cert, tmp_path)
+    assert text == blob
     assert path.read_text() == blob + "\n"
-    again = persist(gnk_report(BETA, budget=6), tmp_path)
+    again, _ = persist(gnk_report(BETA, budget=6), tmp_path)
     assert again == path and again.read_text() == blob + "\n"
 
 

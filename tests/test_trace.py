@@ -25,6 +25,7 @@ from braidcert.trace import (
     _motion_word_g4,
     concyclic_trace,
     event_log,
+    event_word,
     simulate_bij_circle,
     simulate_bij_parabola,
     trace_events,
@@ -32,6 +33,8 @@ from braidcert.trace import (
     trajectory_to_json,
     trisecant_trace,
 )
+
+from test_trace_digests import CORPUS as DIGEST_CORPUS
 
 F = Fraction
 
@@ -287,7 +290,7 @@ def test_random_closed_trajectories_give_even_words():
 # Simulators.
 
 def test_circle_simulator_closed_and_valid():
-    traj = simulate_bij_circle(1, 3, 4)
+    traj, _ = simulate_bij_circle(1, 3, 4)
     for path in traj.paths:
         assert path[0][1] == path[-1][1]
         assert path[0][0] == 0 and path[-1][0] == 1
@@ -298,7 +301,7 @@ def test_circle_simulator_cross_validation():
         bases = all_bases(n, 3)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                traced = trisecant_trace(simulate_bij_circle(i, j, n))
+                traced = event_word(n, 3, simulate_bij_circle(i, j, n)[1])
                 image = map_pb_to_g3(
                     PBWord(n, (pb_letter(i, j),)), reduced=False)
                 assert is_even(traced)
@@ -310,7 +313,7 @@ def test_circle_simulator_cross_validation():
 
 def test_circle_simulator_adjacent_strands_reduce_to_square():
     # b_{i,i+1}: no conjugating blocks, the trace is exactly the square block
-    traced = trisecant_trace(simulate_bij_circle(2, 3, 4))
+    traced = event_word(4, 3, simulate_bij_circle(2, 3, 4)[1])
     image = map_pb_to_g3(PBWord(4, (pb_letter(2, 3),)), reduced=False)
     assert traced.letters == image.letters
     assert len(traced.letters) == 4  # two passes over two remaining strands
@@ -324,8 +327,7 @@ def test_circle_simulator_errors():
 
 
 def test_parabola_simulator_b12_matches_map():
-    traj = simulate_bij_parabola(1, 2, 4)
-    word = concyclic_trace(traj)
+    word = event_word(4, 4, simulate_bij_parabola(1, 2, 4)[1])
     image = map_pb_to_g4(parse_pb_word("b12", 4), reduced=False)
     assert word.letters == image.letters == ((1, 2, 3, 4), (1, 2, 3, 4))
     assert is_even(word)
@@ -335,15 +337,16 @@ def test_parabola_simulator_b12_matches_map():
 
 
 def test_parabola_event_count_matches_unreduced_length():
-    traj = simulate_bij_parabola(1, 2, 4)
-    assert len(concyclic_trace(traj)) == len(map_pb_to_g4(parse_pb_word("b12", 4), reduced=False))
+    traj, events = simulate_bij_parabola(1, 2, 4)
+    assert len(concyclic_trace(traj)) == len(events) == len(
+        map_pb_to_g4(parse_pb_word("b12", 4), reduced=False))
 
 
 def test_parabola_simulator_motion_word():
     # the traced word follows the from-above motion blocks exactly
     cfg = upgrade_to_case23(growth_sequence_case1(4))
     for i, j in ((1, 3), (2, 4)):
-        traced = concyclic_trace(simulate_bij_parabola(i, j, 4))
+        traced = event_word(4, 4, simulate_bij_parabola(i, j, 4)[1])
         assert traced.letters == _motion_word_g4(i, j, cfg)
 
 
@@ -352,11 +355,18 @@ def test_parabola_simulator_motion_word():
     "disagrees in psi and phi with map_pb_to_g4 on bases (1,2,3,4) and "
     "(1,2,3,5); b14, b24 and b35 disagree on two bases each, b12 agrees"))
 def test_parabola_b13_n5_matches_map():
-    traced = concyclic_trace(simulate_bij_parabola(1, 3, 5))
+    traced = event_word(5, 4, simulate_bij_parabola(1, 3, 5)[1])
     image = map_pb_to_g4(parse_pb_word("b13", 5), reduced=False)
     for b in all_bases(5, 4):
         assert psi_word(traced, b) == psi_word(image, b)
         assert phi(traced, b) == phi(image, b)
+
+
+@pytest.mark.parametrize("kind, n, i, j", [row[:4] for row in DIGEST_CORPUS])
+def test_builders_return_their_trace(kind, n, i, j):
+    k, build = (3, simulate_bij_circle) if kind == "circle" else (4, simulate_bij_parabola)
+    traj, events = build(i, j, n)
+    assert event_log(events) == event_log(trace_events(traj, k))
 
 
 def test_parabola_simulator_errors():
@@ -364,13 +374,15 @@ def test_parabola_simulator_errors():
         simulate_bij_parabola(1, 2, 3)
     with pytest.raises(InvalidPair):
         simulate_bij_parabola(2, 2, 4)
+    with pytest.raises(InvalidContext, match="n <= 7, got 8"):
+        simulate_bij_parabola(1, 2, 8)
 
 
 # ---------------------------------------------------------------------------
 # Serialisation.
 
 def test_trajectory_json_round_trip():
-    traj = simulate_bij_circle(1, 2, 3)
+    traj, _ = simulate_bij_circle(1, 2, 3)
     blob = trajectory_to_json(traj)
     again = trajectory_from_json(blob)
     assert again == traj
@@ -378,8 +390,8 @@ def test_trajectory_json_round_trip():
 
 
 def test_event_log_format():
-    traj = simulate_bij_circle(1, 2, 3)
-    events = trace_events(traj, 3)
+    traj, events = simulate_bij_circle(1, 2, 3)
+    assert event_log(events) == event_log(trace_events(traj, 3))
     log = event_log(events)
     assert len(log) == len(events) == 2
     for entry in log:
