@@ -7,7 +7,7 @@ JSON keys, no timestamps); randomized verification suites take --seed.
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation or an unwritable output path.  Parabola motions are limited to
 n <= 7, so `simulate --kind parabola` and `verify --suite tracer` with
-n >= 8 exit 3.
+n >= 8 exit 3 at once.
 """
 
 from __future__ import annotations
@@ -206,6 +206,8 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
             for b in bases
         )
 
+    # built first, so its n <= 7 limit stops the suite at once; reported last
+    parabola_events = trace.simulate_bij_parabola(1, 2, n)[1] if n >= 4 else None
     checks: list[tuple[str, bool]] = []
     bases = parity.all_bases(n, 3)
     for i in range(1, n):
@@ -216,9 +218,8 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
             image = pbraid.map_pb_to_g3(w, reduced=False)
             checks.append((f"circle trace of b{i}{j} matches the k=3 image",
                            agrees(traced, image, bases)))
-    if n >= 4:
-        _, events = trace.simulate_bij_parabola(1, 2, n)
-        traced = trace.event_word(n, 4, events)
+    if parabola_events is not None:
+        traced = trace.event_word(n, 4, parabola_events)
         image = pbraid.map_pb_to_g4(pbraid.PBWord(n, (pbraid.pb_letter(1, 2),)), reduced=False)
         checks.append(("parabola trace of b12 matches the k=4 image",
                        agrees(traced, image, parity.all_bases(n, 4))))

@@ -300,28 +300,19 @@ def crossing_order(cfg: ParabolaConfig, j: int, case: int,
     return sorted(pairs, key=lambda lm: slope_kappa(tj, cfg.t(lm[0]), cfg.t(lm[1])), reverse=True)
 
 
-def passing_word_geometric(mover: int, j: int, cfg: ParabolaConfig) -> list[tuple[int, ...]]:
-    """Letters recorded while the mover passes above point j, for k = 4:
-    case-2 circles first (tangents in the third quadrant), then case-1
-    (second quadrant), then case-3 (first quadrant)."""
-    letters = []
-    for case in (2, 1, 3):
-        for l, m in crossing_order(cfg, j, case, exclude={mover}):
-            letters.append(tuple(sorted((mover, j, l, m))))
-    return letters
-
-
 def g4_word_geometric(i: int, j: int, cfg: ParabolaConfig) -> GnkWord:
-    """Word read off one from-above passing of strand j by strand i: the
-    case-2, case-1 and case-3 circles in their exact tangent-sweep orders.
-    This is the geometric derivation of the algebraic passing block; the
-    test suite asserts the cross-module equality."""
+    """Word read off one from-above passing of strand j by strand i, for
+    k = 4: the case-2, case-1 and case-3 circles (tangents in the third,
+    second and first quadrant) in their exact tangent-sweep orders;
+    crossing_order rejects a configuration that fails a growth condition.
+    The tests check it against pbraid.g4_c, the order the builder expects."""
     n = cfg.n
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    if not (check_growth_case1(cfg) and check_growth_case23(cfg)):
-        raise UnorderedConfiguration("configuration fails a growth condition")
-    return GnkWord(n, 4, tuple(passing_word_geometric(i, j, cfg)))
+    letters = [tuple(sorted((i, j, l, m)))
+               for case in (2, 1, 3)
+               for l, m in crossing_order(cfg, j, case, exclude={i})]
+    return GnkWord(n, 4, tuple(letters))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ relations; the test suite certifies that through the parity quotient, which
 separates the alternatives).  For k = 3 the block c_{i,j} multiplies the
 generators {i, j, x} with x running j+1..n then 1..j-1; for k = 4 the block
 factors into the three passing cases ordered by the tangent directions of
-the circles involved (see the geometry module for the cross-check that
-derives the same orders from exact slopes).
+the circles involved.  g4_c is the one copy of that order: the parabola
+builder expects it, and geometry.g4_word_geometric re-derives it from exact
+slopes for the tests.
 
 For three strands there is also the sharper two-way translation between pure
 braids modulo the full twist and even words in three involutive letters
@@ -144,7 +145,8 @@ def g4_c_components(i: int, j: int, n: int) -> tuple[GnkWord, GnkWord, GnkWord]:
 
     A letter {i, j, l, m} records strands l < m concyclic with i and j while
     i passes j; the pairs split by position relative to j and are ordered by
-    the exact tangent-direction sweep (worked out in the geometry module):
+    the tangent-direction sweep (geometry.g4_word_geometric sorts the exact
+    slopes and agrees for n = 4..7):
 
       case I   (l < m < j):  ascending by (m, l);
       case II  (l < j < m):  l descending from j-1, m ascending within each l;
@@ -185,21 +187,14 @@ def g4_c(i: int, j: int, n: int) -> GnkWord:
 # The substitution: one conjugation pattern, the block chosen by k.
 
 def _letter_image(letter: PBLetter, n: int, block: Callable[[int, int, int], GnkWord]) -> tuple:
-    """Image of one braid letter: the inverse blocks c_{i,t} (t = i+1..j-1) on
-    the approach, c_{i,j} twice, then the blocks again on the way back; an
-    inverse letter gives the reversed word."""
+    """Image of one braid letter, A c_ij c_ij A^-1 with the inverse blocks
+    A = c_{i,i+1}^-1 ... c_{i,j-1}^-1 on the approach; an inverse letter
+    gives the reversed word.  trace._motion_word_g4 passes A forward."""
     i, j, _ = letter
-    inner = [block(i, t, n) for t in range(i + 1, j)]
-    word: list = []
-    for c in inner:
-        word.extend(c.letters[::-1])
+    approach = tuple(x for t in range(i + 1, j) for x in block(i, t, n).letters[::-1])
     cij = block(i, j, n).letters
-    word.extend(cij + cij)
-    for c in reversed(inner):
-        word.extend(c.letters)
-    if letter.sign < 0:
-        word.reverse()
-    return tuple(word)
+    word = approach + cij + cij + approach[::-1]
+    return word if letter.sign > 0 else word[::-1]
 
 
 def _map(w: PBWord, k: int, block: Callable[[int, int, int], GnkWord], reduced: bool) -> GnkWord:

@@ -15,7 +15,7 @@ tuple and slab.  The roots of the squarefree part are isolated exactly
 (Sturm chains), events are sorted by exact algebraic-number comparison, and
 simultaneous events are rejected the same way.
 
-The simulators realise the generator braid b_ij as the four-stage motion the
+The simulators build the four-stage motion of the generator braid b_ij the
 homomorphisms are read from: i moves in stages 1 and 3, j in stages 2 and 4,
 each in its own quarter of [0, 1].  Both motions go through one four-stage
 assembler and differ only in their stage polylines.  On a circle (trisecants)
@@ -27,7 +27,8 @@ rational, every constructed segment is checked exactly against every static
 chord/circle, and offsets are halved deterministically (bounded retries).
 Each simulator validates its motion with one exact trace and returns it as
 (trajectory, events), so a motion is never traced twice; event_word turns
-the events into the G_n^k word.
+the events into the G_n^k word.  The parabola trace must match the word
+built from the passing blocks pbraid.g4_c; no slopes are sorted on the way.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from .geometry import (
     ceil_sqrt,
     circle_through,
     growth_sequence_case1,
-    passing_word_geometric,
     upgrade_to_case23,
 )
 from .gnk import GnkWord
+from .pbraid import g4_c
 from .roots import (
     Poly,
     RealRoot,
@@ -456,28 +457,21 @@ def _hop(t_u: Fraction, base_l: Point, base_r: Point, h: Fraction,
     return [base_l, apex, base_r]
 
 
-@dataclass
-class _StagePlan:
-    mover: int
-    start_t: Fraction
-    end_t: Fraction
-    rounded: list[Fraction]       # abscissas hopped over, in travel order
-    static_ts: list[Fraction]     # abscissas of all other points
-
-
-def _mover_stage_path(plan: _StagePlan, scale: Fraction) -> list[Point]:
-    """Waypoints of one stage: lift off the parabola, alternate safe
-    corridors and hops over the rounded abscissas, then drop back down."""
-    statics = sorted(plan.static_ts)
+def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction],
+                      static_ts: list[Fraction], scale: Fraction) -> list[Point]:
+    """Waypoints of one stage from abscissa start_t to end_t, past the static
+    points at static_ts: lift off the parabola, alternate safe corridors and
+    hops over the rounded abscissas (in travel order), then drop back down."""
+    statics = sorted(static_ts)
     keyed = _static_circles(statics)
     circles = [c for _, c in keyed]
-    landmarks = sorted(set(statics + [plan.start_t, plan.end_t] + plan.rounded))
+    landmarks = sorted(set(statics + [start_t, end_t] + rounded))
 
     def local_gap(t: Fraction) -> Fraction:
         gaps = [abs(t - s) for s in landmarks if s != t]
         return min(gaps)
 
-    eta = min(local_gap(plan.start_t), local_gap(plan.end_t)) * scale / 64
+    eta = min(local_gap(start_t), local_gap(end_t)) * scale / 64
 
     def low_point(t: Fraction) -> Point:
         ceiling = _safe_ceiling(t, circles)
@@ -486,15 +480,15 @@ def _mover_stage_path(plan: _StagePlan, scale: Fraction) -> list[Point]:
             raise _BuildRetry("no clearance above a corridor anchor")
         return _parabola_pt(t, h)
 
-    fan_of = {t: [c for ts, c in keyed if t in ts] for t in plan.rounded}
-    others_of = {t: [c for ts, c in keyed if t not in ts] for t in plan.rounded}
+    fan_of = {t: [c for ts, c in keyed if t in ts] for t in rounded}
+    others_of = {t: [c for ts, c in keyed if t not in ts] for t in rounded}
 
-    lift = low_point(plan.start_t)
-    path = [_parabola_pt(plan.start_t), lift]
+    lift = low_point(start_t)
+    path = [_parabola_pt(start_t), lift]
     cursor = lift
-    for t_u in plan.rounded:
+    for t_u in rounded:
         delta = local_gap(t_u) * scale / 16
-        side = 1 if plan.end_t > plan.start_t else -1
+        side = 1 if end_t > start_t else -1
         base_l = low_point(t_u - side * delta)
         base_r = low_point(t_u + side * delta)
         corridor = _safe_polyline(cursor, base_l, circles, eta)
@@ -503,10 +497,10 @@ def _mover_stage_path(plan: _StagePlan, scale: Fraction) -> list[Point]:
                    fan_of[t_u], others_of[t_u])
         path += hop[1:]
         cursor = base_r
-    drop = low_point(plan.end_t)
+    drop = low_point(end_t)
     corridor = _safe_polyline(cursor, drop, circles, eta)
     path += corridor[1:]
-    path.append(_parabola_pt(plan.end_t))
+    path.append(_parabola_pt(end_t))
     # validate the lift and drop segments too
     for seg0, seg1 in ((path[0], path[1]), (path[-2], path[-1])):
         for c in circles:
@@ -515,30 +509,31 @@ def _mover_stage_path(plan: _StagePlan, scale: Fraction) -> list[Point]:
     return _polyline(path)
 
 
-def _motion_word_g4(i: int, j: int, cfg: ParabolaConfig) -> tuple[tuple[int, ...], ...]:
-    """Expected event word of the four-stage from-above motion: rightward
-    passes give the crossing-order blocks, the return passes give their
-    reversals, and the middle block appears twice (once when i passes j,
-    once when j passes the parked i)."""
-    letters: list[tuple[int, ...]] = []
-    for u in range(i + 1, j + 1):
-        letters.extend(passing_word_geometric(i, u, cfg))
-    letters.extend(passing_word_geometric(i, j, cfg))
-    for u in range(j - 1, i, -1):
-        letters.extend(reversed(passing_word_geometric(i, u, cfg)))
-    return tuple(letters)
+def _motion_word_g4(i: int, j: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Expected event word of the four-stage from-above motion in the blocks
+    of pbraid.g4_c, A c_ij c_ij A^-1 with A = c_{i,i+1} ... c_{i,j-1} passed
+    forward: stage 1 passes i+1 .. j, stage 2 passes again (j over the parked
+    i), stage 3 comes back.  The map (pbraid._letter_image) inverts A."""
+    approach = tuple(x for u in range(i + 1, j) for x in g4_c(i, u, n).letters)
+    cij = g4_c(i, j, n).letters
+    return approach + cij + cij + approach[::-1]
 
 
 def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[SecantEvent]]:
-    """Closed motion realising b_ij on a fast-growing parabola configuration,
-    returned with its concyclicity events (the trace that validated it).
+    """Closed four-stage motion for b_ij on a fast-growing parabola
+    configuration, returned with its concyclicity events (the trace that
+    validated it).
 
     The abscissas come from the canonical growth sequence, upgraded until the
     case-2/3 growth condition holds, so the crossing orders are frozen;
     the construction is validated two ways: every segment is checked exactly
     against every static circle during the build, and the full concyclicity
-    trace must reproduce the crossing-order word before the trajectory is
+    trace must reproduce _motion_word_g4 before the trajectory is
     returned (offsets are halved otherwise, bounded retries).
+
+    For j > i+1 the motion realises the conjugate P b_ij P^-1 with
+    P = b_{i,i+1} ... b_{i,j-1}: its reduced word is map_pb_to_g4 of that
+    conjugate, which can differ from the image of b_ij (b13 at n = 5).
 
     n is limited to 4..7: from n = 8 on the growth sequence makes the build
     take close to a minute and the coordinates outgrow the decimal integers
@@ -551,7 +546,7 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     cfg = upgrade_to_case23(growth_sequence_case1(n))
-    expected = _motion_word_g4(i, j, cfg)
+    expected = _motion_word_g4(i, j, n)
     scale = Fraction(1)
     last_error: Exception | None = None
     for _ in range(12):
@@ -577,14 +572,14 @@ def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig,
     t_park2 = t[j] + 3 * delta / 2  # stage-2 landing spot for j
 
     homes_not = lambda *skip: [t[u] for u in range(1, n + 1) if u not in skip]
-    plans = [
-        _StagePlan(i, t[i], t_star, [t[u] for u in range(i + 1, j + 1)], homes_not(i)),
-        _StagePlan(j, t[j], t_park2, [t_star], homes_not(i, j) + [t_star]),
-        _StagePlan(i, t_star, t[i], [t[u] for u in range(j - 1, i, -1)],
-                   homes_not(i, j) + [t_park2]),
-        _StagePlan(j, t_park2, t[j], [], homes_not(j)),
+    stages = [
+        _mover_stage_path(t[i], t_star, [t[u] for u in range(i + 1, j + 1)],
+                          homes_not(i), scale),
+        _mover_stage_path(t[j], t_park2, [t_star], homes_not(i, j) + [t_star], scale),
+        _mover_stage_path(t_star, t[i], [t[u] for u in range(j - 1, i, -1)],
+                          homes_not(i, j) + [t_park2], scale),
+        _mover_stage_path(t_park2, t[j], [], homes_not(j), scale),
     ]
-    stages = [_mover_stage_path(p, scale) for p in plans]
     return _four_stage(i, j, [_parabola_pt(t[u]) for u in range(1, n + 1)], stages)
 
 

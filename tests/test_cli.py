@@ -243,6 +243,16 @@ def test_each_motion_traced_once(capsys, monkeypatch, argv, traces):
     assert len(calls["trace_events"]) == traces
 
 
+def test_verify_tracer_size_limit_fails_fast(capsys, monkeypatch):
+    # the parabola limit is hit before any circle motion is built
+    calls = count_tracer_calls(monkeypatch)
+    code, out, err = run(capsys, "verify", "--suite", "tracer", "--n", "8")
+    assert code == 3
+    assert out == ""
+    assert err == "error: parabola motions need n <= 7, got 8\n"
+    assert calls["simulate_bij_circle"] == []
+
+
 def test_unwritable_output_paths_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing" / "traj.json"
     code, out, err = run(capsys, "simulate", "--kind", "circle", "--i", "1",

@@ -164,6 +164,9 @@ def test_crossing_order_rejects_slow_growth():
         crossing_order(slow, 4, 1)
     with pytest.raises(UnorderedConfiguration):
         crossing_order(growth_sequence_case1(4), 2, 2)  # case 2/3 needs the upgrade
+    for cfg in (slow, growth_sequence_case1(4)):
+        with pytest.raises(UnorderedConfiguration):
+            g4_word_geometric(1, 2, cfg)
 
 
 def test_crossing_order_exclusion():
@@ -174,7 +177,9 @@ def test_crossing_order_exclusion():
 
 
 def test_g4_word_geometric_matches_algebraic_block():
-    for n in (4, 5):
+    # the parabola builder expects g4_c's order; exact slopes must agree with
+    # it for every n the builder accepts
+    for n in (4, 5, 6, 7):
         cfg = upgrade_to_case23(growth_sequence_case1(n))
         for i in range(1, n):
             for j in range(i + 1, n + 1):

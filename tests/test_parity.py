@@ -1,6 +1,8 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcert.errors import NotEvenWord
 from braidcert.gnk import GnkWord, parse_gnk_word, relators
@@ -19,7 +21,10 @@ from braidcert.parity import (
     quadrisecant_lower_bound,
     trisecant_lower_bound,
 )
-from braidcert.pbraid import map_pb_to_g3, parse_pb_word
+from braidcert.pbraid import map_pb_to_g3, map_pb_to_g4, parse_pb_word
+from braidcert.words import reduce_involutive
+
+from test_pbraid import signed_pb_words
 
 BASE = BaseChoice(4, 3, (1, 2, 3))
 E1, E2 = 0b01, 0b10
@@ -226,3 +231,39 @@ def test_trivial_parity_group_at_n_equals_k():
     assert phi(w, base) == ()
     single = GnkWord(4, 4, ((1, 2, 3, 4),))
     assert phi_at(single, base, 0) == (0, (0,))
+
+
+# ---------------------------------------------------------------------------
+# Properties on the images of random pure braids.
+
+IMAGE_CONTEXTS = [(n, k) for n in (4, 5) for k in (3, 4)]
+
+
+@cache
+def bases_of(n, k):
+    return all_bases(n, k)
+
+
+def braid_images(n, k):
+    mapper = map_pb_to_g3 if k == 3 else map_pb_to_g4
+    return signed_pb_words(n, 3).map(mapper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(IMAGE_CONTEXTS).flatmap(
+    lambda nk: st.tuples(braid_images(*nk), braid_images(*nk))))
+def test_phi_is_multiplicative_on_braid_images(images):
+    u, v = images
+    for base in bases_of(u.n, u.k):
+        assert phi(u * v, base) == reduce_involutive(phi(u, base) + phi(v, base))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(IMAGE_CONTEXTS).flatmap(lambda nk: braid_images(*nk)),
+       st.data())
+def test_phi_ignores_inserted_relators(w, data):
+    r = data.draw(st.sampled_from(relators(w.n, w.k)))
+    pos = data.draw(st.integers(0, len(w.letters)))
+    padded = GnkWord(w.n, w.k, w.letters[:pos] + r.letters + w.letters[pos:])
+    for base in bases_of(w.n, w.k):
+        assert phi(padded, base) == phi(w, base)

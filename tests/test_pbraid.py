@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcert.errors import InvalidContext, NotAGroupElement, ParseError
 from braidcert.parity import all_bases, is_even, phi, psi_word
@@ -28,6 +30,15 @@ def random_pb_word(rng, n, length):
         i, j = sorted(rng.sample(range(1, n + 1), 2))
         letters.append(pb_letter(i, j, rng.choice((1, -1))))
     return PBWord(n, tuple(letters))
+
+
+def signed_pb_words(n, max_size):
+    """Hypothesis strategy: pure braid words on n strands with at most
+    max_size letters, each generator with either sign."""
+    letter = st.tuples(st.sampled_from(list(combinations(range(1, n + 1), 2))),
+                       st.sampled_from((1, -1)))
+    return st.lists(letter, max_size=max_size).map(
+        lambda ls: PBWord(n, tuple(pb_letter(i, j, s) for (i, j), s in ls)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +174,18 @@ def test_g4_homomorphism_property_and_evenness():
             rhs = reduce_involutive(map_pb_to_g4(u).letters + map_pb_to_g4(v).letters)
             assert lhs == rhs
             assert is_even(map_pb_to_g4(u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 7).flatmap(lambda n: st.tuples(signed_pb_words(n, 4),
+                                                     signed_pb_words(n, 4))))
+def test_unreduced_maps_are_letterwise(words):
+    u, v = words
+    for mapper in (map_pb_to_g3, map_pb_to_g4):
+        image_u = mapper(u, reduced=False).letters
+        image_v = mapper(v, reduced=False).letters
+        assert mapper(u * v, reduced=False).letters == image_u + image_v
+        assert mapper(u.inverse(), reduced=False).letters == image_u[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from itertools import permutations, product
 
 import pytest
 
+from braidcert import geometry
 from braidcert.errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
-from braidcert.geometry import growth_sequence_case1, upgrade_to_case23
 from braidcert.parity import all_bases, is_even, phi, psi_word
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
 from braidcert.roots import (
@@ -344,10 +344,33 @@ def test_parabola_event_count_matches_unreduced_length():
 
 def test_parabola_simulator_motion_word():
     # the traced word follows the from-above motion blocks exactly
-    cfg = upgrade_to_case23(growth_sequence_case1(4))
     for i, j in ((1, 3), (2, 4)):
         traced = event_word(4, 4, simulate_bij_parabola(i, j, 4)[1])
-        assert traced.letters == _motion_word_g4(i, j, cfg)
+        assert traced.letters == _motion_word_g4(i, j, 4)
+
+
+def test_parabola_builder_sorts_no_slopes(monkeypatch):
+    # the expected word comes from pbraid.g4_c alone; the slope-sorting
+    # crossing orders are only the tests' independent check of that order
+    def no_slope_sort(*args, **kwargs):
+        raise AssertionError("the parabola builder called crossing_order")
+
+    monkeypatch.setattr(geometry, "crossing_order", no_slope_sort)
+    for i, j, n in ((1, 3, 4), (2, 4, 5)):
+        traced = event_word(n, 4, simulate_bij_parabola(i, j, n)[1])
+        assert traced.letters == _motion_word_g4(i, j, n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_parabola_motion_realises_approach_conjugate(n):
+    # the approach passes the blocks forward, so the motion of b_ij realises
+    # P b_ij P^-1 with P = b_{i,i+1} ... b_{i,j-1} (see the xfail below)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            traced = event_word(n, 4, simulate_bij_parabola(i, j, n)[1])
+            p = PBWord(n, tuple(pb_letter(i, u) for u in range(i + 1, j)))
+            conjugate = p * PBWord(n, (pb_letter(i, j),)) * p.inverse()
+            assert traced.reduced().letters == map_pb_to_g4(conjugate).letters
 
 
 @pytest.mark.xfail(strict=True, reason=(
