@@ -139,10 +139,6 @@ class ParabolaConfig:
     def t(self, i: int) -> Fraction:
         return self.ts[i - 1]
 
-    def point(self, i: int) -> Point:
-        t = self.t(i)
-        return (t, t * t)
-
 
 def growth_sequence_case1(n: int) -> ParabolaConfig:
     """t_1 = 1, t_i = 100 t_{i-1}^2: the canonical sequence satisfying the
@@ -222,6 +218,20 @@ def _case23_holds(t_i: Fraction, t_prev: Fraction, sin2: Fraction, r2max: Fracti
     return slack >= 0 and slack * slack >= 4 * r2max
 
 
+def _case23_walk(ts: list[Fraction], double: bool) -> bool:
+    """The one loop over the indices i > 3 of the case-2/3 condition, left
+    to right: at a failing index it returns False, or with double set it
+    doubles t_i in place until the condition holds there."""
+    for i in range(4, len(ts) + 1):
+        prefix = [(t, t * t) for t in ts[: i - 1]]
+        sin2, r2max = min_angle_sin2(prefix), max_radius_sq(prefix)
+        while not _case23_holds(ts[i - 1], ts[i - 2], sin2, r2max):
+            if not double:
+                return False
+            ts[i - 1] *= 2
+    return True
+
+
 def check_growth_case23(cfg: ParabolaConfig) -> bool:
     """The stronger growth condition that freezes crossing orders in cases 2
     and 3: t_1 >= 1, monotone, and for i > 3
@@ -229,30 +239,19 @@ def check_growth_case23(cfg: ParabolaConfig) -> bool:
         t_i >= max(3 t_{i-1}^2 / sin(alpha_{i-1}),  t_{i-1}^2 + 2 R_{i-1})
 
     with alpha the minimal angle and R the maximal circumradius among the
-    first i-1 points.  Compared in squared form to stay rational."""
+    first i-1 points.  Compared in squared form to stay rational, and
+    walked by the same loop as upgrade_to_case23, which stops at the first
+    failing index instead of doubling there."""
     if cfg.n < 3:
         raise InvalidContext(f"need n >= 3, got {cfg.n}")
-    ts = cfg.ts
-    if ts[0] < 1:
-        return False
-    for i in range(4, cfg.n + 1):
-        prefix = [cfg.point(u) for u in range(1, i)]
-        if not _case23_holds(cfg.t(i), cfg.t(i - 1), min_angle_sin2(prefix),
-                             max_radius_sq(prefix)):
-            return False
-    return True
+    return cfg.ts[0] >= 1 and _case23_walk(list(cfg.ts), double=False)
 
 
 def upgrade_to_case23(cfg: ParabolaConfig) -> ParabolaConfig:
     """Double offending abscissas (left to right) until the case-2/3 growth
     condition holds.  Doubling preserves the case-1 condition."""
     ts = list(cfg.ts)
-    for i in range(4, len(ts) + 1):
-        prefix = [(t, t * t) for t in ts[: i - 1]]
-        sin2 = min_angle_sin2(prefix)
-        r2max = max_radius_sq(prefix)
-        while not _case23_holds(ts[i - 1], ts[i - 2], sin2, r2max):
-            ts[i - 1] *= 2
+    _case23_walk(ts, double=True)
     return ParabolaConfig(tuple(ts))
 
 

@@ -267,15 +267,14 @@ def isolate_roots(p: Poly, lo: Fraction, hi: Fraction) -> list[RealRoot]:
         mid = (a + b) / 2
         if poly_eval(p, mid) == 0:
             out.append(RealRoot(p, mid, mid, True))
-            # shrink around mid so the half-interval endpoints avoid the root
+            # shrink a window around mid until mid is the only root in it and
+            # neither end is a root; the halves outside it keep every other root
             eps = (b - a) / 4
-            lo2, hi2 = mid - eps, mid + eps
-            while poly_eval(p, lo2) == 0:
-                lo2 = (a + lo2) / 2
-            while poly_eval(p, hi2) == 0:
-                hi2 = (hi2 + b) / 2
-            stack.append((a, lo2))
-            stack.append((hi2, b))
+            while (poly_eval(p, mid - eps) == 0 or poly_eval(p, mid + eps) == 0
+                   or count_roots(p, mid - eps, mid + eps, chain) != 1):
+                eps /= 2
+            stack.append((a, mid - eps))
+            stack.append((mid + eps, b))
         else:
             stack.append((a, mid))
             stack.append((mid, b))
@@ -311,19 +310,21 @@ def root_compare(r1: RealRoot, r2: RealRoot) -> int:
             2 * a2 * Fraction(e1), d1,
             -2 * a1 * Fraction(e2), d2,
         )
+    # refined() keeps the minimal polynomials, so their common part is fixed
+    g = r1.minimal if r1.minimal == r2.minimal else poly_gcd(r1.minimal, r2.minimal)
+    common = squarefree_part(g) if len(g) > 1 else None
     a, b = r1, r2
     for _ in range(4096):
         if a.hi <= b.lo:
             return -1
         if b.hi <= a.lo:
             return 1
-        g = a.minimal if a.minimal == b.minimal else poly_gcd(a.minimal, b.minimal)
-        if len(g) > 1:
+        if common is not None:
             lo = max(a.lo, b.lo)
             hi = min(a.hi, b.hi)
             # overlap endpoints are endpoints of isolating intervals, hence
             # not roots of either minimal polynomial nor of their gcd
-            if poly_eval(g, lo) != 0 and poly_eval(g, hi) != 0 and count_roots(squarefree_part(g), lo, hi) > 0:
+            if poly_eval(common, lo) != 0 and poly_eval(common, hi) != 0 and count_roots(common, lo, hi) > 0:
                 return 0
         a, b = a.refined(), b.refined()
     raise RuntimeError("root comparison failed to converge")  # pragma: no cover

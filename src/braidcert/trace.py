@@ -23,12 +23,14 @@ the mover slides along the inside hugging the circle, so it crosses a chord
 exactly when passing one of its endpoints; on the parabola (concyclicities)
 the mover hops over each passed point and otherwise stays inside the safe
 strip between the parabola and the lowest circle arcs.  All clearances are
-rational, every constructed segment is checked exactly against every static
-chord/circle, and offsets are halved deterministically (bounded retries).
-Each simulator validates its motion with one exact trace and returns it as
-(trajectory, events), so a motion is never traced twice; event_word turns
-the events into the G_n^k word.  The parabola trace must match the word
-built from the passing blocks pbraid.g4_c; no slopes are sorted on the way.
+rational and every constructed segment is checked exactly against every
+static chord/circle.  The circle builder halves its offset and retries
+(bounded) when the trace finds a degeneracy; the parabola builder builds
+once.  Each simulator validates its motion with one exact trace and returns
+it as (trajectory, events), so a motion is never traced twice; event_word
+turns the events into the G_n^k word.  The parabola trace must match the
+word built from the passing blocks pbraid.g4_c; no slopes are sorted on the
+way.
 """
 
 from __future__ import annotations
@@ -221,9 +223,10 @@ def concyclic_trace(traj: Trajectory) -> GnkWord:
 # ---------------------------------------------------------------------------
 # Exact segment-versus-circle crossing counts (builders' validation).
 
-def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int | None:
-    """Number of interior crossings of the open segment with the circle;
-    None flags a tangency or an endpoint exactly on the circle."""
+def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int:
+    """Number of interior crossings of the open segment with the circle.  A
+    tangency or an endpoint exactly on the circle ends the build: it raises
+    NonGenericTrajectory."""
     (a, b), r2 = circle
     wx, wy = p0[0] - a, p0[1] - b
     vx, vy = p1[0] - p0[0], p1[1] - p0[1]
@@ -232,7 +235,7 @@ def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int
     C = wx * wx + wy * wy - r2
     q0, q1 = C, A + B + C
     if q0 == 0 or q1 == 0:
-        return None
+        raise NonGenericTrajectory("tangential or boundary contact")
     if A == 0:
         if B == 0:
             return 0
@@ -242,8 +245,9 @@ def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int
     if disc < 0:
         return 0
     if disc == 0:
-        t = Fraction(-B, 2 * A)
-        return None if 0 <= t <= 1 else 0
+        if 0 <= Fraction(-B, 2 * A) <= 1:
+            raise NonGenericTrajectory("tangential or boundary contact")
+        return 0
     if (q0 > 0) != (q1 > 0):
         return 1
     # same sign at both ends: 2 roots inside iff the vertex lies inside and
@@ -252,17 +256,6 @@ def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int
     if q0 > 0 and 0 < tv < 1:
         return 2
     return 0
-
-
-def _count_or_fail(p0: Point, p1: Point, circle) -> int:
-    c = _crossing_count(p0, p1, circle)
-    if c is None:
-        raise _BuildRetry("tangential or boundary contact")
-    return c
-
-
-class _BuildRetry(Exception):
-    """Internal: a candidate path failed exact validation; retry smaller."""
 
 
 def _four_stage(i: int, j: int, homes: Sequence[Point],
@@ -417,27 +410,27 @@ def _safe_ceiling(t: Fraction, circles) -> Fraction | None:
     return best
 
 
-def _midline_point(t: Fraction, circles, fallback: Fraction) -> Point:
+def _low_point(t: Fraction, circles, eta: Fraction) -> Point:
+    """The point at abscissa t, eta above the parabola or half way up to the
+    safe ceiling, whichever is lower: on the parabola's side of every static
+    circle."""
     ceiling = _safe_ceiling(t, circles)
-    if ceiling is None:
-        return _parabola_pt(t, fallback)
     if ceiling == 0:
-        raise _BuildRetry("waypoint lands exactly on a circle")
-    return _parabola_pt(t, min(ceiling / 2, fallback))
+        raise NonGenericTrajectory("no clearance above the parabola")
+    return _parabola_pt(t, eta if ceiling is None else min(eta, ceiling / 2))
 
 
-def _safe_polyline(p0: Point, p1: Point, circles, fallback: Fraction,
+def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
                    depth: int = 0) -> list[Point]:
     """Polyline from p0 to p1 crossing no static circle, built by splitting
     offending segments at the midline of the safe strip."""
-    if all(_count_or_fail(p0, p1, c) == 0 for c in circles):
+    if all(_crossing_count(p0, p1, c) == 0 for c in circles):
         return [p0, p1]
     if depth > 48:
-        raise _BuildRetry("corridor subdivision did not converge")
-    tm = (p0[0] + p1[0]) / 2
-    mid = _midline_point(tm, circles, fallback)
-    left = _safe_polyline(p0, mid, circles, fallback, depth + 1)
-    right = _safe_polyline(mid, p1, circles, fallback, depth + 1)
+        raise NonGenericTrajectory("corridor subdivision did not converge")
+    mid = _low_point((p0[0] + p1[0]) / 2, circles, eta)
+    left = _safe_polyline(p0, mid, circles, eta, depth + 1)
+    right = _safe_polyline(mid, p1, circles, eta, depth + 1)
     return left[:-1] + right
 
 
@@ -448,17 +441,17 @@ def _hop(t_u: Fraction, base_l: Point, base_r: Point, h: Fraction,
     through the point, none of any other circle."""
     apex = _parabola_pt(t_u, h)
     for circle in fan:
-        total = _count_or_fail(base_l, apex, circle) + _count_or_fail(apex, base_r, circle)
+        total = _crossing_count(base_l, apex, circle) + _crossing_count(apex, base_r, circle)
         if total != 1:
-            raise _BuildRetry(f"hop crosses a fan circle {total} times")
+            raise NonGenericTrajectory(f"hop crosses a fan circle {total} times")
     for circle in others:
-        if _count_or_fail(base_l, apex, circle) or _count_or_fail(apex, base_r, circle):
-            raise _BuildRetry("hop strays into a foreign circle")
+        if _crossing_count(base_l, apex, circle) or _crossing_count(apex, base_r, circle):
+            raise NonGenericTrajectory("hop strays into a foreign circle")
     return [base_l, apex, base_r]
 
 
 def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction],
-                      static_ts: list[Fraction], scale: Fraction) -> list[Point]:
+                      static_ts: list[Fraction]) -> list[Point]:
     """Waypoints of one stage from abscissa start_t to end_t, past the static
     points at static_ts: lift off the parabola, alternate safe corridors and
     hops over the rounded abscissas (in travel order), then drop back down."""
@@ -471,41 +464,33 @@ def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction
         gaps = [abs(t - s) for s in landmarks if s != t]
         return min(gaps)
 
-    eta = min(local_gap(start_t), local_gap(end_t)) * scale / 64
-
-    def low_point(t: Fraction) -> Point:
-        ceiling = _safe_ceiling(t, circles)
-        h = eta if ceiling is None else min(eta, ceiling / 2)
-        if h <= 0:
-            raise _BuildRetry("no clearance above a corridor anchor")
-        return _parabola_pt(t, h)
-
+    eta = min(local_gap(start_t), local_gap(end_t)) / 64
     fan_of = {t: [c for ts, c in keyed if t in ts] for t in rounded}
     others_of = {t: [c for ts, c in keyed if t not in ts] for t in rounded}
 
-    lift = low_point(start_t)
+    lift = _low_point(start_t, circles, eta)
     path = [_parabola_pt(start_t), lift]
     cursor = lift
     for t_u in rounded:
-        delta = local_gap(t_u) * scale / 16
+        delta = local_gap(t_u) / 16
         side = 1 if end_t > start_t else -1
-        base_l = low_point(t_u - side * delta)
-        base_r = low_point(t_u + side * delta)
+        base_l = _low_point(t_u - side * delta, circles, eta)
+        base_r = _low_point(t_u + side * delta, circles, eta)
         corridor = _safe_polyline(cursor, base_l, circles, eta)
         path += corridor[1:]
-        hop = _hop(t_u, base_l, base_r, local_gap(t_u) * scale / 8 * (2 * abs(t_u) + 1),
+        hop = _hop(t_u, base_l, base_r, local_gap(t_u) / 8 * (2 * abs(t_u) + 1),
                    fan_of[t_u], others_of[t_u])
         path += hop[1:]
         cursor = base_r
-    drop = low_point(end_t)
+    drop = _low_point(end_t, circles, eta)
     corridor = _safe_polyline(cursor, drop, circles, eta)
     path += corridor[1:]
     path.append(_parabola_pt(end_t))
     # validate the lift and drop segments too
     for seg0, seg1 in ((path[0], path[1]), (path[-2], path[-1])):
         for c in circles:
-            if _count_or_fail(seg0, seg1, c) != 0:
-                raise _BuildRetry("lift/drop segment crosses a circle")
+            if _crossing_count(seg0, seg1, c) != 0:
+                raise NonGenericTrajectory("lift/drop segment crosses a circle")
     return _polyline(path)
 
 
@@ -528,8 +513,12 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
     case-2/3 growth condition holds, so the crossing orders are frozen;
     the construction is validated two ways: every segment is checked exactly
     against every static circle during the build, and the full concyclicity
-    trace must reproduce _motion_word_g4 before the trajectory is
-    returned (offsets are halved otherwise, bounded retries).
+    trace must reproduce _motion_word_g4 letter for letter.  It builds once:
+    a failed builder check, a trace degeneracy or a different traced word
+    raises NonGenericTrajectory.  A retry with smaller offsets cannot help:
+    the growth conditions freeze the order in which the mover meets the
+    circles, and halving the offsets changed the outcome of no generator
+    at n = 4..7.
 
     For j > i+1 the motion realises the conjugate P b_ij P^-1 with
     P = b_{i,i+1} ... b_{i,j-1}: its reduced word is map_pb_to_g4 of that
@@ -546,25 +535,18 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     cfg = upgrade_to_case23(growth_sequence_case1(n))
-    expected = _motion_word_g4(i, j, n)
-    scale = Fraction(1)
-    last_error: Exception | None = None
-    for _ in range(12):
-        try:
-            traj = _build_parabola_trajectory(i, j, n, cfg, scale)
-            events = trace_events(traj, 4)
-            if event_word(n, 4, events).letters == expected:
-                return traj, events
-            last_error = RuntimeError("traced word disagrees with the crossing orders")
-        except (_BuildRetry, NonGenericTrajectory) as exc:
-            last_error = exc
-        scale /= 2
-    raise NonGenericTrajectory(
-        f"could not build a generic parabola motion for b_{i}{j}: {last_error}")
+    try:
+        traj = _build_parabola_trajectory(i, j, n, cfg)
+        events = trace_events(traj, 4)
+        if event_word(n, 4, events).letters != _motion_word_g4(i, j, n):
+            raise NonGenericTrajectory("traced word disagrees with the crossing orders")
+    except NonGenericTrajectory as exc:
+        raise NonGenericTrajectory(
+            f"could not build a generic parabola motion for b_{i}{j}: {exc}") from None
+    return traj, events
 
 
-def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig,
-                               scale: Fraction) -> Trajectory:
+def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig) -> Trajectory:
     t = {u: cfg.t(u) for u in range(1, n + 1)}
     gap_right = (t[j + 1] - t[j]) if j < n else (t[j] - t[j - 1])
     delta = gap_right / 4
@@ -574,11 +556,11 @@ def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig,
     homes_not = lambda *skip: [t[u] for u in range(1, n + 1) if u not in skip]
     stages = [
         _mover_stage_path(t[i], t_star, [t[u] for u in range(i + 1, j + 1)],
-                          homes_not(i), scale),
-        _mover_stage_path(t[j], t_park2, [t_star], homes_not(i, j) + [t_star], scale),
+                          homes_not(i)),
+        _mover_stage_path(t[j], t_park2, [t_star], homes_not(i, j) + [t_star]),
         _mover_stage_path(t_star, t[i], [t[u] for u in range(j - 1, i, -1)],
-                          homes_not(i, j) + [t_park2], scale),
-        _mover_stage_path(t_park2, t[j], [], homes_not(j), scale),
+                          homes_not(i, j) + [t_park2]),
+        _mover_stage_path(t_park2, t[j], [], homes_not(j)),
     ]
     return _four_stage(i, j, [_parabola_pt(t[u]) for u in range(1, n + 1)], stages)
 

@@ -130,6 +130,52 @@ def test_check_growth_case23():
         check_growth_case23(growth_sequence_case1(2))
 
 
+def _case23_by_definition(ts):
+    """The case-2/3 growth condition index by index, as the docstring of
+    check_growth_case23 states it, squared to stay rational."""
+    if ts[0] < 1:
+        return False
+    for i in range(4, len(ts) + 1):
+        prefix = [(t, t * t) for t in ts[: i - 1]]
+        t, prev = ts[i - 1], ts[i - 2]
+        # t sin(alpha) >= 3 prev^2, both sides positive
+        if t * t * min_angle_sin2(prefix) < 9 * prev**4:
+            return False
+        # t - prev^2 >= 2 R
+        if t - prev * prev < 0 or (t - prev * prev) ** 2 < 4 * max_radius_sq(prefix):
+            return False
+    return True
+
+
+def test_check_growth_case23_matches_definition():
+    rng = random.Random(7)
+    answers = []
+    for _ in range(120):
+        n = rng.randint(3, 6)
+        ts = [Fraction(rng.randint(1, 12), rng.choice((1, 1, 2, 4)))]
+        shape = rng.choice(("slow", "fast", "upgraded"))
+        for _ in range(n - 1):
+            if shape == "slow":
+                ts.append(ts[-1] + Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+            else:
+                ts.append(ts[-1] ** 2 * rng.randint(2, 400))
+        cfg = ParabolaConfig(tuple(ts))
+        if shape == "upgraded":
+            cfg = upgrade_to_case23(cfg)
+            ts = list(cfg.ts)
+            u = rng.randrange(1, n)
+            if u >= 3 and rng.random() < 0.5:
+                ts[u] = ts[u - 1] ** 2 + 1  # fails first at index u + 1
+            else:
+                ts[u] *= Fraction(rng.randint(5, 15), 10)  # either side of it
+            if all(a < b for a, b in zip(ts, ts[1:])):
+                cfg = ParabolaConfig(tuple(ts))
+        expected = _case23_by_definition(cfg.ts)
+        assert check_growth_case23(cfg) == expected, cfg.ts
+        answers.append(expected)
+    assert True in answers and False in answers
+
+
 def test_angle_and_radius_helpers():
     # isoceles right triangle: smallest angle 45 degrees, sin^2 = 1/2
     assert min_angle_sin2([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 2)

@@ -1,11 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from braidcert import geometry
+from braidcert import geometry, trace
 from braidcert.errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
 from braidcert.parity import all_bases, is_even, phi, psi_word
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
@@ -69,6 +70,82 @@ def test_root_compare_two_quadratics():
     # same value through a different quadratic: 2t^2 - 4
     sqrt2b = isolate_roots(poly((-4, 0, 2)), F(0), F(2))[0]
     assert root_compare(sqrt2, sqrt2b) == 0
+
+
+def _sqrt_root(d, sign, lo, hi):
+    """The root sign * sqrt(d) of t^2 - d, isolated on its own."""
+    (root,) = [r for r in isolate_roots(poly((-d, 0, 1)), lo, hi)
+               if (r.hi > 0) == (sign > 0)]
+    return root
+
+
+def test_isolate_roots_keeps_roots_beside_an_exact_midpoint_root():
+    lin = lambda c: poly((-c, 1))
+    cubic = poly_mul(poly_mul(lin(1), lin(2)), lin(3))
+    roots = isolate_roots(cubic, F(0), F(4))  # the first midpoint 2 is a root
+    assert len(roots) == 3
+    assert [root_compare(r, RealRoot.from_rational(c)) for r, c in zip(roots, (1, 2, 3))] == [0] * 3
+    quartic = poly_mul(poly((-2, 0, 1)), poly_mul(lin(1), lin(3)))
+    roots = isolate_roots(quartic, F(-2), F(4))  # midpoint 1 is a root, sqrt 2 next to it
+    expected = [_sqrt_root(2, -1, F(-2), F(4)), RealRoot.from_rational(1),
+                _sqrt_root(2, 1, F(-2), F(4)), RealRoot.from_rational(3)]
+    assert len(roots) == 4
+    assert [root_compare(r, e) for r, e in zip(roots, expected)] == [0] * 4
+
+
+def _sqrt_bracket(d, sign):
+    """Rational bracket [lo, hi] of width under 10^-30 around sign * sqrt(d)."""
+    num = d.numerator * d.denominator  # sqrt(d) = sqrt(num) / denominator
+    s = math.isqrt(num * 10**60)
+    lo, hi = F(s, d.denominator * 10**30), F(s + 1, d.denominator * 10**30)
+    return (lo, hi) if sign > 0 else (-hi, -lo)
+
+
+def test_isolate_roots_and_compare_against_known_roots():
+    # products of distinct linear factors, some at dyadic midpoints of the
+    # interval, and factors t^2 - d with d not a square, of degree 3..6;
+    # every root is known, and the bracket of an irrational root is disjoint
+    # from every other bracket, so the sorted order is proven exactly
+    rng = random.Random(5)
+    surds = [F(2), F(3), F(5), F(7), F(8), F(1, 2), F(3, 4), F(10, 9)]
+    exact_midpoints = 0
+    for _ in range(150):
+        lo = F(rng.choice((-4, -2, 0, F(-1, 3))))
+        hi = lo + rng.choice((4, 6, 8))
+        dyadic = [lo + (hi - lo) * F(m, 2**e) for e in (1, 2, 3) for m in range(1, 2**e, 2)]
+        quads = rng.sample(surds, rng.choice((0, 0, 1, 2)))
+        n_lin = rng.randint(max(0, 3 - 2 * len(quads)), 6 - 2 * len(quads))
+        lins = set()
+        while len(lins) < n_lin:
+            lins.add(rng.choice(dyadic) if rng.random() < 0.5 else
+                     lo - 2 + (hi - lo + 4) * F(rng.randint(1, 99), 100))
+        lins.discard(lo)
+        lins.discard(hi)
+        p = poly((F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)),))
+        for c in lins:
+            p = poly_mul(p, poly((-c, 1)))
+        for d in quads:
+            p = poly_mul(p, poly((-d, 0, 1)))
+        # known roots inside (lo, hi): (bracket, reference root)
+        known = [((c, c), RealRoot.from_rational(c)) for c in lins if lo < c < hi]
+        for d in quads:
+            for sign in (-1, 1):
+                b = _sqrt_bracket(d, sign)
+                if lo < b[0] and b[1] < hi:
+                    known.append((b, _sqrt_root(d, sign, lo, hi)))
+        known.sort(key=lambda kb: kb[0][0])
+        assert all(a[0][1] < b[0][0] for a, b in zip(known, known[1:]))
+        roots = isolate_roots(p, lo, hi)
+        assert len(roots) == len(known)
+        for r, (_, ref) in zip(roots, known):
+            assert root_compare(r, ref) == 0 and root_compare(ref, r) == 0
+        exact_midpoints += sum(r.exact for r in roots)
+        refs = [ref for _, ref in known]
+        everything = list(enumerate(roots)) + list(enumerate(refs))
+        for (x, rx), (y, ry) in product(everything, repeat=2):
+            expected = (x > y) - (x < y)
+            assert root_compare(rx, ry) == expected == -root_compare(ry, rx)
+    assert exact_midpoints > 0
 
 
 def test_sign_two_sqrt_against_rational_squares():
@@ -359,6 +436,23 @@ def test_parabola_builder_sorts_no_slopes(monkeypatch):
     for i, j, n in ((1, 3, 4), (2, 4, 5)):
         traced = event_word(n, 4, simulate_bij_parabola(i, j, n)[1])
         assert traced.letters == _motion_word_g4(i, j, n)
+
+
+def test_parabola_failure_builds_once(monkeypatch):
+    # b34 at n = 6 fails the word check; a retry with smaller offsets would
+    # fail it again, so the builder gives up after its one trace
+    traces = []
+
+    def counting_trace(traj, k):
+        traces.append(k)
+        return trace_events(traj, k)
+
+    monkeypatch.setattr(trace, "trace_events", counting_trace)
+    with pytest.raises(NonGenericTrajectory) as info:
+        simulate_bij_parabola(3, 4, 6)
+    assert str(info.value) == ("could not build a generic parabola motion for b_34: "
+                               "traced word disagrees with the crossing orders")
+    assert traces == [4]
 
 
 @pytest.mark.parametrize("n", [4, 5])
