@@ -7,7 +7,8 @@ JSON keys, no timestamps); randomized verification suites take --seed.
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation or an unwritable output path.  Parabola motions are limited to
 n <= 7, so `simulate --kind parabola` and `verify --suite tracer` with
-n >= 8 exit 3 at once.
+n >= 8 exit 3 at once, as does `geometry --op growth` beyond n = 12 (n = 7
+with --case23), whose last abscissa would not print in decimal.
 """
 
 from __future__ import annotations
@@ -289,6 +290,10 @@ def cmd_geometry(args) -> int:
         ts = _rationals(args.values, 3, "slope needs tk,tl,tm")
         print("kappa:", geometry.slope_kappa(*ts))
     elif args.op == "growth":
+        limit = geometry._CASE23_MAX_N if args.case23 else geometry._CASE1_MAX_N
+        if args.n > limit:
+            kind = "case-2/3 growth" if args.case23 else "growth"
+            raise InvalidContext(f"{kind} sequences need n <= {limit}, got {args.n}")
         cfg = geometry.growth_sequence_case1(args.n)
         if args.case23:
             cfg = geometry.upgrade_to_case23(cfg)

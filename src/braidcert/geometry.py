@@ -140,6 +140,13 @@ class ParabolaConfig:
         return self.ts[i - 1]
 
 
+# Largest n whose growth sequence prints in decimal (at most 4300 digits in
+# Python): t_13 has 8191 digits, t_8 after the case-2/3 upgrade about 5700.
+# The parabola motions share the case-2/3 limit.
+_CASE1_MAX_N = 12
+_CASE23_MAX_N = 7
+
+
 def growth_sequence_case1(n: int) -> ParabolaConfig:
     """t_1 = 1, t_i = 100 t_{i-1}^2: the canonical sequence satisfying the
     case-1 growth condition."""

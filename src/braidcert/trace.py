@@ -23,14 +23,12 @@ the mover slides along the inside hugging the circle, so it crosses a chord
 exactly when passing one of its endpoints; on the parabola (concyclicities)
 the mover hops over each passed point and otherwise stays inside the safe
 strip between the parabola and the lowest circle arcs.  All clearances are
-rational and every constructed segment is checked exactly against every
-static chord/circle.  The circle builder halves its offset and retries
-(bounded) when the trace finds a degeneracy; the parabola builder builds
-once.  Each simulator validates its motion with one exact trace and returns
-it as (trajectory, events), so a motion is never traced twice; event_word
-turns the events into the G_n^k word.  The parabola trace must match the
-word built from the passing blocks pbraid.g4_c; no slopes are sorted on the
-way.
+rational and every parabola segment is checked exactly against every static
+circle.  Both simulators build once and check the motion in one shared step:
+its one exact trace must give (via event_word) the expected word letter for
+letter, the unreduced map_pb_to_g3 image of b_ij on the circle and the word
+of the passing blocks pbraid.g4_c on the parabola; no slopes are sorted.  It
+returns (trajectory, events), so a motion is never traced twice.
 """
 
 from __future__ import annotations
@@ -40,10 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
 from .geometry import (
+    _CASE23_MAX_N,
     ParabolaConfig,
     ceil_sqrt,
     circle_through,
@@ -51,7 +50,7 @@ from .geometry import (
     upgrade_to_case23,
 )
 from .gnk import GnkWord
-from .pbraid import g4_c
+from .pbraid import PBWord, g4_c, map_pb_to_g3, pb_letter
 from .roots import (
     Poly,
     RealRoot,
@@ -210,16 +209,6 @@ def event_word(n: int, k: int, events: Iterable[SecantEvent]) -> GnkWord:
     return GnkWord(n, k, tuple(ev.participants for ev in events))
 
 
-def trisecant_trace(traj: Trajectory) -> GnkWord:
-    """Word of collinearity events, one k = 3 letter per event, in time order."""
-    return event_word(traj.n, 3, trace_events(traj, 3))
-
-
-def concyclic_trace(traj: Trajectory) -> GnkWord:
-    """Word of concyclicity events, one k = 4 letter per event, in time order."""
-    return event_word(traj.n, 4, trace_events(traj, 4))
-
-
 # ---------------------------------------------------------------------------
 # Exact segment-versus-circle crossing counts (builders' validation).
 
@@ -236,11 +225,8 @@ def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int
     q0, q1 = C, A + B + C
     if q0 == 0 or q1 == 0:
         raise NonGenericTrajectory("tangential or boundary contact")
-    if A == 0:
-        if B == 0:
-            return 0
-        t = -C / B
-        return 1 if 0 < t < 1 else 0
+    if A == 0:  # p0 == p1
+        return 0
     disc = B * B - 4 * A * C
     if disc < 0:
         return 0
@@ -283,6 +269,22 @@ def _four_stage(i: int, j: int, homes: Sequence[Point],
     return Trajectory(tuple(paths))
 
 
+def _validated_motion(kind: str, i: int, j: int, k: int, build: Callable[[], Trajectory],
+                      expected: tuple[tuple[int, ...], ...]) -> tuple[Trajectory, list[SecantEvent]]:
+    """Build the motion of b_ij once and trace it once: a failed builder
+    check, a trace degeneracy or a traced word other than ``expected`` raises
+    NonGenericTrajectory naming the motion."""
+    try:
+        traj = build()
+        events = trace_events(traj, k)
+        if event_word(traj.n, k, events).letters != expected:
+            raise NonGenericTrajectory("traced word disagrees with the crossing orders")
+    except NonGenericTrajectory as exc:
+        raise NonGenericTrajectory(
+            f"could not build a generic {kind} motion for b_{i}{j}: {exc}") from None
+    return traj, events
+
+
 # ---------------------------------------------------------------------------
 # Circle motions (k = 3).
 
@@ -316,13 +318,7 @@ def _circle_sweep(s_from: Fraction, s_to: Fraction, passed: list[Fraction],
 
 def _min_gap_sq(params: Iterable[Fraction]) -> Fraction:
     pts = [_circle_point(s) for s in params]
-    best = None
-    for p, q in combinations(pts, 2):
-        d2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-        best = d2 if best is None else min(best, d2)
-    if best is None or best == 0:
-        raise DegenerateInput("need distinct circle points")
-    return best
+    return min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2))
 
 
 def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[SecantEvent]]:
@@ -333,8 +329,11 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
     1, 2, ..., n, all on the upper arc, counterclockwise).  Stage 1: point i
     slides inside the circle past i+1 .. j-1 and lands on the circle just
     before j; stage 2: j slides over the parked i; stage 3: i returns home
-    over j (parked) and j-1 .. i+1; stage 4: j returns home.  Offsets are
-    halved and the build retried if the exact trace finds any degeneracy.
+    over j (parked) and j-1 .. i+1; stage 4: j returns home.  It builds once
+    and its trace must equal the unreduced map_pb_to_g3 image of b_ij letter
+    for letter.  No retry is needed: the static points lie on the circle and
+    the mover strictly inside between on-circle endpoints, so only an exact
+    coincidence (a via point on a chord line) could make the trace fail.
     """
     if n < 3:
         raise InvalidContext(f"circle motions need n >= 3, got {n}")
@@ -344,27 +343,16 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
     rho = (home[j - 1] + home[j]) / 2  # parking spot for i, just before j
     lam = (home[j - 1] + rho) / 2      # landing spot for j, just before that
     eps = _min_gap_sq(list(home.values()) + [rho, lam]) / 64
-    last_error: Exception | None = None
-    for _ in range(16):
-        traj = _build_circle_trajectory(i, j, n, home, rho, lam, eps)
-        try:
-            return traj, trace_events(traj, 3)
-        except NonGenericTrajectory as exc:
-            last_error = exc
-            eps /= 2
-    raise NonGenericTrajectory(
-        f"could not build a generic circle motion for b_{i}{j}: {last_error}")
-
-
-def _build_circle_trajectory(i: int, j: int, n: int, home: dict[int, Fraction],
-                             rho: Fraction, lam: Fraction, eps: Fraction) -> Trajectory:
     stages = [
         _circle_sweep(home[i], rho, [home[u] for u in range(i + 1, j)], eps),
         _circle_sweep(home[j], lam, [rho], eps),
         _circle_sweep(rho, home[i], [lam] + [home[u] for u in range(i + 1, j)], eps),
         _circle_sweep(lam, home[j], [], eps),
     ]
-    return _four_stage(i, j, [_circle_point(home[u]) for u in range(1, n + 1)], stages)
+    homes = [_circle_point(home[u]) for u in range(1, n + 1)]
+    return _validated_motion(
+        "circle", i, j, 3, lambda: _four_stage(i, j, homes, stages),
+        map_pb_to_g3(PBWord(n, (pb_letter(i, j),)), reduced=False).letters)
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +518,14 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
     """
     if n < 4:
         raise InvalidContext(f"parabola motions need n >= 4, got {n}")
-    if n > 7:
-        raise InvalidContext(f"parabola motions need n <= 7, got {n}")
+    if n > _CASE23_MAX_N:
+        raise InvalidContext(f"parabola motions need n <= {_CASE23_MAX_N}, got {n}")
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     cfg = upgrade_to_case23(growth_sequence_case1(n))
-    try:
-        traj = _build_parabola_trajectory(i, j, n, cfg)
-        events = trace_events(traj, 4)
-        if event_word(n, 4, events).letters != _motion_word_g4(i, j, n):
-            raise NonGenericTrajectory("traced word disagrees with the crossing orders")
-    except NonGenericTrajectory as exc:
-        raise NonGenericTrajectory(
-            f"could not build a generic parabola motion for b_{i}{j}: {exc}") from None
-    return traj, events
+    return _validated_motion(
+        "parabola", i, j, 4, lambda: _build_parabola_trajectory(i, j, n, cfg),
+        _motion_word_g4(i, j, n))
 
 
 def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig) -> Trajectory:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -161,10 +162,10 @@ def test_simulate_round_trip(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--kind", "circle", "--i", "1",
                        "--j", "2", "--n", "3", "--out", str(out_file))
     assert code == 0
-    from braidcert.trace import trajectory_from_json, trisecant_trace
+    from braidcert.trace import event_word, trace_events, trajectory_from_json
 
     traj = trajectory_from_json(out_file.read_text())
-    assert len(trisecant_trace(traj)) == 2
+    assert len(event_word(traj.n, 3, trace_events(traj, 3))) == 2
 
 
 def test_simulate_trace_flag(capsys):
@@ -284,6 +285,21 @@ def test_geometry_ops(capsys):
     assert "order: (2,4) (2,5) (1,4) (1,5)" in out
     code, out, _ = run(capsys, "geometry", "--op", "growth", "--n", "3")
     assert "ts: 1,100,1000000" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "13"), "growth sequences need n <= 12, got 13"),
+    (("--n", "8", "--case23"), "case-2/3 growth sequences need n <= 7, got 8"),
+])
+def test_geometry_growth_size_limit(capsys, argv, message):
+    # refused before any sequence is built: t_13, and t_8 after the case-2/3
+    # upgrade, have more digits than Python prints in decimal
+    start = time.perf_counter()
+    code, out, err = run(capsys, "geometry", "--op", "growth", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("op, values, message", [

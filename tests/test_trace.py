@@ -24,7 +24,6 @@ from braidcert.trace import (
     Trajectory,
     _event_poly,
     _motion_word_g4,
-    concyclic_trace,
     event_log,
     event_word,
     simulate_bij_circle,
@@ -32,7 +31,6 @@ from braidcert.trace import (
     trace_events,
     trajectory_from_json,
     trajectory_to_json,
-    trisecant_trace,
 )
 
 from test_trace_digests import CORPUS as DIGEST_CORPUS
@@ -206,8 +204,8 @@ def test_event_poly_matches_textbook_determinants():
 def test_stationary_trajectory_has_no_events():
     pts = [(F(0), F(0)), (F(2), F(0)), (F(1), F(3)), (F(3), F(4))]
     traj = Trajectory(tuple(static_path(p) for p in pts))
-    assert trisecant_trace(traj).letters == ()
-    assert concyclic_trace(traj).letters == ()
+    assert event_word(traj.n, 3, trace_events(traj, 3)).letters == ()
+    assert event_word(traj.n, 4, trace_events(traj, 4)).letters == ()
 
 
 def test_single_crossing_back_and_forth():
@@ -217,7 +215,7 @@ def test_single_crossing_back_and_forth():
         static_path((F(2), F(0))),
         path_through((0, (1, 1)), (F(1, 2), (1, -1)), (1, (1, 1))),
     ))
-    word = trisecant_trace(traj)
+    word = event_word(traj.n, 3, trace_events(traj, 3))
     assert word.letters == ((1, 2, 3), (1, 2, 3))
     events = trace_events(traj, 3)
     assert [ev.root.lo for ev in events] == [F(1, 4), F(3, 4)]
@@ -230,7 +228,7 @@ def test_concyclic_single_event_pair():
         static_path(c[0]), static_path(c[1]), static_path(c[2]),
         path_through((0, (0, -2)), (F(1, 2), (0, F(-1, 2))), (1, (0, -2))),
     ))
-    word = concyclic_trace(traj)
+    word = event_word(traj.n, 4, trace_events(traj, 4))
     assert word.letters == ((1, 2, 3, 4), (1, 2, 3, 4))
 
 
@@ -242,7 +240,7 @@ def test_boundary_event_rejected():
         path_through((0, (1, 1)), (F(1, 2), (1, 0)), (1, (1, 1))),
     ))
     with pytest.raises(NonGenericTrajectory):
-        trisecant_trace(traj)
+        event_word(traj.n, 3, trace_events(traj, 3))
 
 
 def test_simultaneous_events_rejected():
@@ -254,7 +252,7 @@ def test_simultaneous_events_rejected():
         path_through((0, (3, 1)), (F(1, 2), (3, -1)), (1, (3, 1))),
     ))
     with pytest.raises(NonGenericTrajectory) as err:
-        trisecant_trace(traj)
+        event_word(traj.n, 3, trace_events(traj, 3))
     assert "simultaneous" in str(err.value)
 
 
@@ -265,7 +263,7 @@ def test_collision_rejected():
         path_through((0, (1, 1)), (F(1, 2), (-1, -1)), (1, (1, 1))),
     ))
     with pytest.raises(NonGenericTrajectory) as err:
-        trisecant_trace(traj)
+        event_word(traj.n, 3, trace_events(traj, 3))
     assert "collide" in str(err.value) or "coincide" in str(err.value)
 
 
@@ -276,7 +274,7 @@ def test_whole_slab_degeneracy_rejected():
         static_path((F(1), F(0))),  # permanently collinear
     ))
     with pytest.raises(NonGenericTrajectory):
-        trisecant_trace(traj)
+        event_word(traj.n, 3, trace_events(traj, 3))
 
 
 # Every degeneracy the tracer rejects, with the tuple and slab it names.
@@ -353,7 +351,8 @@ def test_random_closed_trajectories_give_even_words():
             paths.append(path_through(
                 (0, p0), (F(1, 3), mids[0]), (F(2, 3), mids[1]), (1, p0)))
         try:
-            word = trisecant_trace(Trajectory(tuple(paths)))
+            traj = Trajectory(tuple(paths))
+            word = event_word(traj.n, 3, trace_events(traj, 3))
         except NonGenericTrajectory:
             continue
         found += 1
@@ -396,6 +395,36 @@ def test_circle_simulator_adjacent_strands_reduce_to_square():
     assert len(traced.letters) == 4  # two passes over two remaining strands
 
 
+def test_circle_failure_builds_once(monkeypatch):
+    # the circle builder has no retry: a degeneracy found by its one trace
+    # ends the build, named after the motion
+    traces = []
+
+    def degenerate_trace(traj, k):
+        traces.append(k)
+        raise NonGenericTrajectory("simultaneous events", (1, 2, 3, 4))
+
+    monkeypatch.setattr(trace, "trace_events", degenerate_trace)
+    with pytest.raises(NonGenericTrajectory) as info:
+        simulate_bij_circle(1, 3, 4)
+    assert str(info.value) == ("could not build a generic circle motion for b_13: "
+                               "simultaneous events (points (1, 2, 3, 4))")
+    assert traces == [3]
+
+
+def test_circle_trace_must_match_the_map(monkeypatch):
+    # the circle builder's expected word is the unreduced k = 3 image of b_ij;
+    # a trace that differs from it ends the build
+    def reduced_image(w, *, reduced):
+        return map_pb_to_g3(w, reduced=True)  # b12 at n = 3: empty, not a123 a123
+
+    monkeypatch.setattr(trace, "map_pb_to_g3", reduced_image)
+    with pytest.raises(NonGenericTrajectory) as info:
+        simulate_bij_circle(1, 2, 3)
+    assert str(info.value) == ("could not build a generic circle motion for b_12: "
+                               "traced word disagrees with the crossing orders")
+
+
 def test_circle_simulator_errors():
     with pytest.raises(InvalidContext):
         simulate_bij_circle(1, 2, 2)
@@ -415,7 +444,7 @@ def test_parabola_simulator_b12_matches_map():
 
 def test_parabola_event_count_matches_unreduced_length():
     traj, events = simulate_bij_parabola(1, 2, 4)
-    assert len(concyclic_trace(traj)) == len(events) == len(
+    assert len(event_word(traj.n, 4, trace_events(traj, 4))) == len(events) == len(
         map_pb_to_g4(parse_pb_word("b12", 4), reduced=False))
 
 
@@ -484,6 +513,7 @@ def test_builders_return_their_trace(kind, n, i, j):
     k, build = (3, simulate_bij_circle) if kind == "circle" else (4, simulate_bij_parabola)
     traj, events = build(i, j, n)
     assert event_log(events) == event_log(trace_events(traj, k))
+    assert trajectory_from_json(trajectory_to_json(traj)) == traj
 
 
 def test_parabola_simulator_errors():
