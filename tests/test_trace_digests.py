@@ -3,10 +3,11 @@
 Each row is a motion (kind, n, i, j) and the sha256 of the full stdout of
 ``braidcert simulate --kind KIND --i I --j J --n N --trace``: the trajectory
 JSON, the ``word:`` line and the ``events:`` line.  The corpus is every circle
-generator at n = 4, 5, every parabola generator at n = 4, and parabola b12
-and b13 at n = 5.  A change to a motion builder, the tracer or the JSON
-format that alters any byte of a trajectory, traced word or event log fails
-here.
+generator at n = 4, 5, every parabola generator at n = 4, 5, and parabola
+b15 at n = 6.  Eight of the parabola motions split a corridor around a
+static circle: b13 and b23 at n = 4, b13, b14, b23, b24 and b34 at n = 5, and
+b15 at n = 6.  A change to a motion builder, the tracer or the JSON format
+that alters any byte of a trajectory, traced word or event log fails here.
 """
 
 import hashlib
@@ -41,6 +42,15 @@ CORPUS = [
     ("parabola", 4, 3, 4, "0b803c1d8e099a640df0d358e519b5c9c9c02c9cea28b2b9751376156d36972a"),
     ("parabola", 5, 1, 2, "ca47d6deb3f7ebd6d9037d54a975943d37b22a398110f8ce6af4e64db1ffb623"),
     ("parabola", 5, 1, 3, "4fbd0d15b8e1e5af453f70356a0ae0bda8680411ffd4c89fee98a07998f9adfa"),
+    ("parabola", 5, 1, 4, "b12835e225627b7f08bd4258feb139e2edc396ef5056739be787e800291c2a13"),
+    ("parabola", 5, 1, 5, "ed285a5f9df7cf67af5148873337fc1f17da7f5861be87c8b285c13e0ff8c90d"),
+    ("parabola", 5, 2, 3, "de1fe66fd198fe3c32c63d58582ed35aaaaa7fa117ab9ede6b34a2857ffe2770"),
+    ("parabola", 5, 2, 4, "258c6b22acee448f7a15f4709956ebd1ff626aa253bf708bb0e7121b85b6dca0"),
+    ("parabola", 5, 2, 5, "21b44de91e709c6ea34d7a4cb41e57e9cedc9925203741a2a396b2ffbaee42df"),
+    ("parabola", 5, 3, 4, "fcee00c4a577c6df58be32676c3118abaebf0ceff9e77e469791e0dfe1725864"),
+    ("parabola", 5, 3, 5, "0a45c04657f7ec10c1b4fa3fb80771f064539825399080c7f6eb64792842099c"),
+    ("parabola", 5, 4, 5, "48948fd4d52c619aea8ff1af5504fb1f6a9124f2e311a2cf4a040d0e220113a0"),
+    ("parabola", 6, 1, 5, "2b4b1f59a44adc15ac12b96b86cb36b2d178d1bba211705e0e7b79af48875972"),
 ]
 
 
