@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation or an unwritable output path.  Parabola motions are limited to
 n <= 7, so `simulate --kind parabola` and `verify --suite tracer` with
 n >= 8 exit 3 at once, as does `geometry --op growth` beyond n = 12 (n = 7
-with --case23), whose last abscissa would not print in decimal.
+with --case23), whose last abscissa would not print in decimal, and
+`geometry --op order --case 2|3` beyond n = 7, whose case-2/3 upgrade would
+run for seconds and more.
 """
 
 from __future__ import annotations
@@ -270,6 +272,19 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # geometry
 
+def _growth_sequence(n: int, case23: bool) -> geometry.ParabolaConfig:
+    """The canonical growth sequence, upgraded to case 2/3 if asked, refused
+    before any work beyond n = 12 (n = 7 upgraded): t_13 and the upgraded t_8
+    do not print in decimal, and the upgrade alone runs for seconds at n = 8
+    and longer beyond."""
+    limit = geometry._CASE23_MAX_N if case23 else geometry._CASE1_MAX_N
+    if n > limit:
+        kind = "case-2/3 growth" if case23 else "growth"
+        raise InvalidContext(f"{kind} sequences need n <= {limit}, got {n}")
+    cfg = geometry.growth_sequence_case1(n)
+    return geometry.upgrade_to_case23(cfg) if case23 else cfg
+
+
 def cmd_geometry(args) -> int:
     if args.op == "delta":
         xs = _rationals(args.values, 4, "delta needs four abscissas")
@@ -290,21 +305,16 @@ def cmd_geometry(args) -> int:
         ts = _rationals(args.values, 3, "slope needs tk,tl,tm")
         print("kappa:", geometry.slope_kappa(*ts))
     elif args.op == "growth":
-        limit = geometry._CASE23_MAX_N if args.case23 else geometry._CASE1_MAX_N
-        if args.n > limit:
-            kind = "case-2/3 growth" if args.case23 else "growth"
-            raise InvalidContext(f"{kind} sequences need n <= {limit}, got {args.n}")
-        cfg = geometry.growth_sequence_case1(args.n)
-        if args.case23:
-            cfg = geometry.upgrade_to_case23(cfg)
+        cfg = _growth_sequence(args.n, args.case23)
         print("ts:", ",".join(str(t) for t in cfg.ts))
         print("case1:", "true" if geometry.check_growth_case1(cfg) else "false")
         if cfg.n >= 3:
             print("case23:", "true" if geometry.check_growth_case23(cfg) else "false")
     else:  # order
-        cfg = geometry.growth_sequence_case1(args.n)
-        if args.case != 1:
-            cfg = geometry.upgrade_to_case23(cfg)
+        if args.case == 1:  # no limit: only indices are printed
+            cfg = geometry.growth_sequence_case1(args.n)
+        else:
+            cfg = _growth_sequence(args.n, case23=True)
         order = geometry.crossing_order(cfg, args.j, args.case)
         print("order:", " ".join(f"({l},{m})" for l, m in order))
     return 0

@@ -164,47 +164,22 @@ def check_growth_case1(cfg: ParabolaConfig) -> bool:
     return ts[0] >= 1 and all(b >= 100 * a * a for a, b in zip(ts, ts[1:]))
 
 
-def _angle_key(v: Point, u: Point, w: Point) -> tuple[Fraction, Fraction, Fraction]:
-    """Comparable data (dot, cross^2, |a|^2 |b|^2) for the angle at vertex v
-    between rays to u and w."""
-    ax, ay = u[0] - v[0], u[1] - v[1]
-    bx, by = w[0] - v[0], w[1] - v[1]
-    dot = ax * bx + ay * by
-    cross = ax * by - ay * bx
-    norm = (ax * ax + ay * ay) * (bx * bx + by * by)
-    return dot, cross * cross, norm
-
-
-def _angle_lt(k1, k2) -> bool:
-    """Exact comparison of two angles in (0, pi) given (dot, cross^2, norm):
-    smaller angle means larger cosine dot/sqrt(norm)."""
-    d1, _, n1 = k1
-    d2, _, n2 = k2
-    if d1 >= 0 and d2 < 0:
-        return True
-    if d1 < 0 and d2 >= 0:
-        return False
-    lhs, rhs = d1 * d1 * n2, d2 * d2 * n1
-    if d1 >= 0:
-        return lhs > rhs
-    return lhs < rhs
-
-
 def min_angle_sin2(points: list[Point]) -> Fraction:
     """sin^2 of the smallest angle determined by any ordered triple (vertex in
-    the middle) of the given points.  Exact: angles are compared through their
-    cosines, and sin^2 = cross^2 / (|a|^2 |b|^2) is rational."""
-    best = None
+    the middle) of the given points, exactly: the least cross^2 / (|a|^2
+    |b|^2) over all triples.  The smallest angle has the smallest sin^2: it
+    is at most pi/3, and an obtuse angle theta leaves its triangle an angle
+    below pi - theta, whose sin^2 is smaller."""
+    sin2 = []
     for v in points:
-        others = [p for p in points if p != v]
-        for u, w in combinations(others, 2):
-            key = _angle_key(v, u, w)
-            if best is None or _angle_lt(key, best):
-                best = key
-    if best is None:
+        for u, w in combinations([p for p in points if p != v], 2):
+            ax, ay = u[0] - v[0], u[1] - v[1]
+            bx, by = w[0] - v[0], w[1] - v[1]
+            cross = ax * by - ay * bx
+            sin2.append(cross * cross / ((ax * ax + ay * ay) * (bx * bx + by * by)))
+    if not sin2:
         raise DegenerateInput("need at least three points for an angle")
-    _, cross2, norm = best
-    return cross2 / norm
+    return min(sin2)
 
 
 def max_radius_sq(points: list[Point]) -> Fraction:

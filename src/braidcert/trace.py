@@ -23,12 +23,15 @@ the mover slides along the inside hugging the circle, so it crosses a chord
 exactly when passing one of its endpoints; on the parabola (concyclicities)
 the mover hops over each passed point and otherwise stays inside the safe
 strip between the parabola and the lowest circle arcs.  All clearances are
-rational and every parabola segment is checked exactly against every static
-circle.  Both simulators build once and check the motion in one shared step:
-its one exact trace must give (via event_word) the expected word letter for
-letter, the unreduced map_pb_to_g3 image of b_ij on the circle and the word
-of the passing blocks pbraid.g4_c on the parabola; no slopes are sorted.  It
-returns (trajectory, events), so a motion is never traced twice.
+rational, and while a parabola motion is built its corridors are split until
+no segment crosses a static circle.  Both simulators build once, and one
+shared step is the only check of the finished motion: its exact trace must
+give (via event_word) the expected word letter for letter, the unreduced
+map_pb_to_g3 image of b_ij on the circle and the word of the passing blocks
+pbraid.g4_c on the parabola; no slopes are sorted.  A crossing of a static
+circle makes the mover concyclic with its three points, so the trace fixes
+the number, order and identity of every crossing.  The step returns
+(trajectory, events), so a motion is never traced twice.
 """
 
 from __future__ import annotations
@@ -210,11 +213,11 @@ def event_word(n: int, k: int, events: Iterable[SecantEvent]) -> GnkWord:
 
 
 # ---------------------------------------------------------------------------
-# Exact segment-versus-circle crossing counts (builders' validation).
+# Exact segment-versus-circle crossings (keeping parabola corridors clear).
 
-def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int:
-    """Number of interior crossings of the open segment with the circle.  A
-    tangency or an endpoint exactly on the circle ends the build: it raises
+def _crosses(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> bool:
+    """Whether the open segment crosses the circle.  A tangency or an
+    endpoint exactly on the circle ends the build: it raises
     NonGenericTrajectory."""
     (a, b), r2 = circle
     wx, wy = p0[0] - a, p0[1] - b
@@ -226,22 +229,18 @@ def _crossing_count(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> int
     if q0 == 0 or q1 == 0:
         raise NonGenericTrajectory("tangential or boundary contact")
     if A == 0:  # p0 == p1
-        return 0
+        return False
     disc = B * B - 4 * A * C
     if disc < 0:
-        return 0
-    if disc == 0:
-        if 0 <= Fraction(-B, 2 * A) <= 1:
-            raise NonGenericTrajectory("tangential or boundary contact")
-        return 0
-    if (q0 > 0) != (q1 > 0):
-        return 1
-    # same sign at both ends: 2 roots inside iff the vertex lies inside and
-    # the parabola dips through (ends positive, opens upward since A > 0)
+        return False
     tv = Fraction(-B, 2 * A)
-    if q0 > 0 and 0 < tv < 1:
-        return 2
-    return 0
+    if disc == 0:
+        if 0 <= tv <= 1:
+            raise NonGenericTrajectory("tangential or boundary contact")
+        return False
+    # ends on opposite sides cross once; ends both outside cross twice iff
+    # the vertex lies inside (the quadratic opens upward since A > 0)
+    return (q0 > 0) != (q1 > 0) or (q0 > 0 and 0 < tv < 1)
 
 
 def _four_stage(i: int, j: int, homes: Sequence[Point],
@@ -271,8 +270,8 @@ def _four_stage(i: int, j: int, homes: Sequence[Point],
 
 def _validated_motion(kind: str, i: int, j: int, k: int, build: Callable[[], Trajectory],
                       expected: tuple[tuple[int, ...], ...]) -> tuple[Trajectory, list[SecantEvent]]:
-    """Build the motion of b_ij once and trace it once: a failed builder
-    check, a trace degeneracy or a traced word other than ``expected`` raises
+    """Build the motion of b_ij once and trace it once: a failed build, a
+    trace degeneracy or a traced word other than ``expected`` raises
     NonGenericTrajectory naming the motion."""
     try:
         traj = build()
@@ -362,13 +361,10 @@ def _parabola_pt(t: Fraction, h: Fraction = Fraction(0)) -> Point:
     return (t, t * t + h)
 
 
-def _static_circles(static_ts: Iterable[Fraction]) -> list[tuple[tuple[Fraction, ...], tuple[Point, Fraction]]]:
-    """Circumcircles of all static triples, keyed by their abscissas."""
-    out = []
-    for ts in combinations(sorted(static_ts), 3):
-        pts = [_parabola_pt(t) for t in ts]
-        out.append((ts, circle_through(*pts)))
-    return out
+def _static_circles(static_ts: Iterable[Fraction]) -> list[tuple[Point, Fraction]]:
+    """Circumcircles of all static triples."""
+    return [circle_through(*(_parabola_pt(t) for t in ts))
+            for ts in combinations(sorted(static_ts), 3)]
 
 
 def _safe_ceiling(t: Fraction, circles) -> Fraction | None:
@@ -412,7 +408,7 @@ def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
                    depth: int = 0) -> list[Point]:
     """Polyline from p0 to p1 crossing no static circle, built by splitting
     offending segments at the midline of the safe strip."""
-    if all(_crossing_count(p0, p1, c) == 0 for c in circles):
+    if not any(_crosses(p0, p1, c) for c in circles):
         return [p0, p1]
     if depth > 48:
         raise NonGenericTrajectory("corridor subdivision did not converge")
@@ -422,63 +418,31 @@ def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
     return left[:-1] + right
 
 
-def _hop(t_u: Fraction, base_l: Point, base_r: Point, h: Fraction,
-         fan, others) -> list[Point]:
-    """Two-segment hop over the parabola point at t_u: up to the apex
-    directly above it, then down.  Exactly one crossing of each circle
-    through the point, none of any other circle."""
-    apex = _parabola_pt(t_u, h)
-    for circle in fan:
-        total = _crossing_count(base_l, apex, circle) + _crossing_count(apex, base_r, circle)
-        if total != 1:
-            raise NonGenericTrajectory(f"hop crosses a fan circle {total} times")
-    for circle in others:
-        if _crossing_count(base_l, apex, circle) or _crossing_count(apex, base_r, circle):
-            raise NonGenericTrajectory("hop strays into a foreign circle")
-    return [base_l, apex, base_r]
-
-
 def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction],
                       static_ts: list[Fraction]) -> list[Point]:
     """Waypoints of one stage from abscissa start_t to end_t, past the static
-    points at static_ts: lift off the parabola, alternate safe corridors and
-    hops over the rounded abscissas (in travel order), then drop back down."""
-    statics = sorted(static_ts)
-    keyed = _static_circles(statics)
-    circles = [c for _, c in keyed]
-    landmarks = sorted(set(statics + [start_t, end_t] + rounded))
+    points at static_ts: lift off the parabola, then for each rounded
+    abscissa (in travel order) a safe corridor and a hop up to the apex above
+    it and down, then a last corridor and the drop back to the parabola.
+    Only the corridors are kept off the static circles; the hops are judged
+    by the trace of the finished motion."""
+    circles = _static_circles(static_ts)
+    landmarks = sorted(set(static_ts) | {start_t, end_t, *rounded})
 
     def local_gap(t: Fraction) -> Fraction:
-        gaps = [abs(t - s) for s in landmarks if s != t]
-        return min(gaps)
+        return min(abs(t - s) for s in landmarks if s != t)
 
     eta = min(local_gap(start_t), local_gap(end_t)) / 64
-    fan_of = {t: [c for ts, c in keyed if t in ts] for t in rounded}
-    others_of = {t: [c for ts, c in keyed if t not in ts] for t in rounded}
-
-    lift = _low_point(start_t, circles, eta)
-    path = [_parabola_pt(start_t), lift]
-    cursor = lift
+    side = 1 if end_t > start_t else -1
+    path = [_parabola_pt(start_t), _low_point(start_t, circles, eta)]
     for t_u in rounded:
         delta = local_gap(t_u) / 16
-        side = 1 if end_t > start_t else -1
         base_l = _low_point(t_u - side * delta, circles, eta)
         base_r = _low_point(t_u + side * delta, circles, eta)
-        corridor = _safe_polyline(cursor, base_l, circles, eta)
-        path += corridor[1:]
-        hop = _hop(t_u, base_l, base_r, local_gap(t_u) / 8 * (2 * abs(t_u) + 1),
-                   fan_of[t_u], others_of[t_u])
-        path += hop[1:]
-        cursor = base_r
-    drop = _low_point(end_t, circles, eta)
-    corridor = _safe_polyline(cursor, drop, circles, eta)
-    path += corridor[1:]
+        path += _safe_polyline(path[-1], base_l, circles, eta)[1:]
+        path += [_parabola_pt(t_u, local_gap(t_u) / 8 * (2 * abs(t_u) + 1)), base_r]
+    path += _safe_polyline(path[-1], _low_point(end_t, circles, eta), circles, eta)[1:]
     path.append(_parabola_pt(end_t))
-    # validate the lift and drop segments too
-    for seg0, seg1 in ((path[0], path[1]), (path[-2], path[-1])):
-        for c in circles:
-            if _crossing_count(seg0, seg1, c) != 0:
-                raise NonGenericTrajectory("lift/drop segment crosses a circle")
     return _polyline(path)
 
 
@@ -498,12 +462,12 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
     validated it).
 
     The abscissas come from the canonical growth sequence, upgraded until the
-    case-2/3 growth condition holds, so the crossing orders are frozen;
-    the construction is validated two ways: every segment is checked exactly
-    against every static circle during the build, and the full concyclicity
-    trace must reproduce _motion_word_g4 letter for letter.  It builds once:
-    a failed builder check, a trace degeneracy or a different traced word
-    raises NonGenericTrajectory.  A retry with smaller offsets cannot help:
+    case-2/3 growth condition holds, so the crossing orders are frozen.  The
+    build keeps its corridors off the static circles; the one check of the
+    finished motion is its concyclicity trace, which must reproduce
+    _motion_word_g4 letter for letter.  It builds once: a corridor that
+    cannot be cleared, a trace degeneracy or a different traced word raises
+    NonGenericTrajectory.  A retry with smaller offsets cannot help:
     the growth conditions freeze the order in which the mover meets the
     circles, and halving the offsets changed the outcome of no generator
     at n = 4..7.

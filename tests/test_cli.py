@@ -288,14 +288,20 @@ def test_geometry_ops(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--n", "13"), "growth sequences need n <= 12, got 13"),
-    (("--n", "8", "--case23"), "case-2/3 growth sequences need n <= 7, got 8"),
+    (("--op", "growth", "--n", "13"), "growth sequences need n <= 12, got 13"),
+    (("--op", "growth", "--n", "8", "--case23"),
+     "case-2/3 growth sequences need n <= 7, got 8"),
+    (("--op", "order", "--n", "8", "--j", "3", "--case", "2"),
+     "case-2/3 growth sequences need n <= 7, got 8"),
+    (("--op", "order", "--n", "9", "--j", "3", "--case", "3"),
+     "case-2/3 growth sequences need n <= 7, got 9"),
 ])
 def test_geometry_growth_size_limit(capsys, argv, message):
     # refused before any sequence is built: t_13, and t_8 after the case-2/3
-    # upgrade, have more digits than Python prints in decimal
+    # upgrade, have more digits than Python prints in decimal, and the
+    # upgrade itself runs for seconds at n = 8 and longer beyond
     start = time.perf_counter()
-    code, out, err = run(capsys, "geometry", "--op", "growth", *argv)
+    code, out, err = run(capsys, "geometry", *argv)
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""

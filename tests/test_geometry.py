@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -181,6 +182,47 @@ def test_angle_and_radius_helpers():
     assert min_angle_sin2([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 2)
     # radius of circle through the same triple: r^2 = 1/2
     assert max_radius_sq([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 2)
+
+
+def _smallest_angle_sin2(points):
+    """sin^2 at the smallest angle, found without sin^2: the angle whose
+    signed squared cosine dot |dot| / (|a|^2 |b|^2) is largest."""
+    best = None
+    for v in points:
+        for u in points:
+            for w in points:
+                if len({u, v, w}) < 3 or u > w:
+                    continue
+                ax, ay = u[0] - v[0], u[1] - v[1]
+                bx, by = w[0] - v[0], w[1] - v[1]
+                dot, cross = ax * bx + ay * by, ax * by - ay * bx
+                norm = (ax * ax + ay * ay) * (bx * bx + by * by)
+                key = Fraction(dot * abs(dot), norm)
+                if best is None or key > best[0]:
+                    best = (key, Fraction(cross * cross, norm))
+    return best[1]
+
+
+def test_min_angle_sin2_is_sin2_of_the_smallest_angle():
+    rng = random.Random(11)
+    for _ in range(200):
+        m = rng.randint(3, 6)
+        if rng.random() < 0.5:
+            ts = set()
+            while len(ts) < m:
+                ts.add(Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
+            points = [(t, t * t) for t in ts]
+        else:
+            points = []
+            while len(points) < m:
+                p = (Fraction(rng.randint(-20, 20), rng.randint(1, 3)),
+                     Fraction(rng.randint(-20, 20), rng.randint(1, 3)))
+                if p in points or any(
+                        (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+                        for q, r in combinations(points, 2)):
+                    continue  # keep the points distinct, no three collinear
+                points.append(p)
+        assert min_angle_sin2(points) == _smallest_angle_sin2(points), points
 
 
 def test_crossing_order_case1():

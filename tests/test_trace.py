@@ -484,6 +484,25 @@ def test_parabola_failure_builds_once(monkeypatch):
     assert traces == [4]
 
 
+def test_parabola_trace_catches_a_stray_crossing(monkeypatch):
+    # b13 at n = 4 splits a corridor around a static circle; with straight
+    # corridors the mover crosses that circle, and the builder does not
+    # check it: the one trace sees the extra concyclicities and refuses
+    traces = []
+
+    def counting_trace(traj, k):
+        traces.append(k)
+        return trace_events(traj, k)
+
+    monkeypatch.setattr(trace, "trace_events", counting_trace)
+    monkeypatch.setattr(trace, "_safe_polyline", lambda p0, p1, circles, eta: [p0, p1])
+    with pytest.raises(NonGenericTrajectory) as info:
+        simulate_bij_parabola(1, 3, 4)
+    assert str(info.value) == ("could not build a generic parabola motion for b_13: "
+                               "traced word disagrees with the crossing orders")
+    assert traces == [4]
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_parabola_motion_realises_approach_conjugate(n):
     # the approach passes the blocks forward, so the motion of b_ij realises
