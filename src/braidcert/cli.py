@@ -311,10 +311,7 @@ def cmd_geometry(args) -> int:
         if cfg.n >= 3:
             print("case23:", "true" if geometry.check_growth_case23(cfg) else "false")
     else:  # order
-        if args.case == 1:  # no limit: only indices are printed
-            cfg = geometry.growth_sequence_case1(args.n)
-        else:
-            cfg = _growth_sequence(args.n, case23=True)
+        cfg = _growth_sequence(args.n, case23=args.case != 1)
         order = geometry.crossing_order(cfg, args.j, args.case)
         print("order:", " ".join(f"({l},{m})" for l, m in order))
     return 0

@@ -176,7 +176,7 @@ def min_angle_sin2(points: list[Point]) -> Fraction:
             ax, ay = u[0] - v[0], u[1] - v[1]
             bx, by = w[0] - v[0], w[1] - v[1]
             cross = ax * by - ay * bx
-            sin2.append(cross * cross / ((ax * ax + ay * ay) * (bx * bx + by * by)))
+            sin2.append(Fraction(cross * cross, (ax * ax + ay * ay) * (bx * bx + by * by)))
     if not sin2:
         raise DegenerateInput("need at least three points for an angle")
     return min(sin2)

@@ -6,8 +6,12 @@ slab (between consecutive breakpoints of any point) and every 3- or 4-point
 tuple.  One determinant gives both events: in coordinates relative to the
 last point of the tuple, the rows (dx, dy) for collinearity and
 (dx, dy, dx^2+dy^2) for concyclicity (zero also for four collinear points,
-i.e. a circle through infinity, which counts as an event).  Per slab it is a
-polynomial in t with rational coefficients.  One genericity check serves it
+i.e. a circle through infinity, which counts as an event).  Per slab every
+position is first multiplied by the common denominator L of the slab's
+linear coordinates: scaling the plane by L > 0 moves no collinearity,
+concyclicity or collision and multiplies each determinant by a positive
+power of L, so no sign changes, and the determinant is a polynomial in t
+with integer coefficients.  One genericity check serves it
 and the squared distance of every point pair: a polynomial that vanishes on
 the whole slab, at a slab end, or at a repeated root inside the slab (a
 tangency, or for a pair a collision) raises NonGenericTrajectory naming the
@@ -41,7 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from math import lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
 from .geometry import (
@@ -61,11 +66,11 @@ from .roots import (
     isolate_roots,
     poly,
     poly_add,
-    poly_divmod,
-    poly_eval,
     poly_mul,
     poly_sub,
+    pseudo_divmod,
     root_compare,
+    sign_at,
     squarefree_part,
 )
 
@@ -107,21 +112,39 @@ class SecantEvent:
     root: RealRoot
 
 
-def _slab_grid(traj: Trajectory) -> list[Fraction]:
-    times = {t for path in traj.paths for t, _ in path}
-    return sorted(times)
-
-
-def _linear_coeffs(path: Sequence[Breakpoint], t0: Fraction, t1: Fraction) -> tuple[Poly, Poly]:
-    """Position of one point on [t0, t1] as two degree <= 1 polynomials in
-    global time.  The slab grid contains all breakpoints, so the slab lies
-    inside a single segment of the path."""
+def _segments(path: Sequence[Breakpoint]) -> list[tuple[Fraction, int, tuple[Poly, Poly]]]:
+    """Each segment of a path as (end time, d, (x, y)): the position on it
+    is (x / d, y / d), two integer polynomials of degree <= 1 in global
+    time over one positive denominator."""
+    out = []
     for (a, p0), (b, p1) in zip(path, path[1:]):
-        if a <= t0 and t1 <= b:
-            vx = (p1[0] - p0[0]) / (b - a)
-            vy = (p1[1] - p0[1]) / (b - a)
-            return poly((p0[0] - vx * a, vx)), poly((p0[1] - vy * a, vy))
-    raise ValueError(f"slab [{t0}, {t1}] not inside any segment")
+        vx = (p1[0] - p0[0]) / (b - a)
+        vy = (p1[1] - p0[1]) / (b - a)
+        coeffs = (p0[0] - vx * a, vx, p0[1] - vy * a, vy)
+        d = lcm(*(c.denominator for c in coeffs))
+        x0, x1, y0, y1 = (c.numerator * (d // c.denominator) for c in coeffs)
+        out.append((b, d, (poly((x0, x1)), poly((y0, y1)))))
+    return out
+
+
+def _slabs(traj: Trajectory) -> Iterator[tuple[Fraction, Fraction, list[tuple[Poly, Poly]]]]:
+    """Every time slab (t0, t1) between consecutive breakpoints of any point,
+    with the integer position polynomials of all points on it: the rational
+    positions times the common denominator of the slab, one factor for all
+    points.  The slabs contain every breakpoint, so each lies inside a
+    single segment of each path."""
+    grid = sorted({t for path in traj.paths for t, _ in path})
+    segments = [_segments(path) for path in traj.paths]
+    at = [0] * traj.n
+    for t0, t1 in zip(grid, grid[1:]):
+        current = []
+        for u, segs in enumerate(segments):
+            if segs[at[u]][0] <= t0:
+                at[u] += 1
+            current.append(segs[at[u]])
+        den = lcm(*(d for _, d, _ in current))
+        yield t0, t1, [tuple(tuple(c * (den // d) for c in q) for q in xy)
+                       for _, d, xy in current]
 
 
 def _det(rows: list[list[Poly]]) -> Poly:
@@ -159,13 +182,13 @@ def _generic_part(p: Poly, who: tuple[int, ...], t0: Fraction, t1: Fraction,
     slab = (t0, t1)
     if not p:
         raise NonGenericTrajectory(whole, who, slab)
-    if poly_eval(p, t0) == 0 or poly_eval(p, t1) == 0:
+    if sign_at(p, t0) == 0 or sign_at(p, t1) == 0:
         raise NonGenericTrajectory(boundary, who, slab)
     sf = squarefree_part(p)
     if len(sf) != len(p):
-        # p = gcd(p, p') * sf exactly, so the quotient is the monic gcd,
-        # whose roots are the repeated roots of p
-        g = poly_divmod(p, sf)[0]
+        # the quotient p / sf is a constant times gcd(p, p'), whose
+        # roots are the repeated roots of p
+        g = pseudo_divmod(p, sf)[0]
         if count_roots(squarefree_part(g), t0, t1) > 0:
             raise NonGenericTrajectory(repeated, who, slab)
     return sf
@@ -178,10 +201,8 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
     if traj.n < k:
         raise InvalidContext(f"need at least {k} points, got {traj.n}")
     kind = "trisecant" if k == 3 else "concyclic"
-    grid = _slab_grid(traj)
     events: list[SecantEvent] = []
-    for t0, t1 in zip(grid, grid[1:]):
-        coeffs = [_linear_coeffs(path, t0, t1) for path in traj.paths]
+    for t0, t1, coeffs in _slabs(traj):
         for pair in combinations(range(1, traj.n + 1), 2):
             # every real root of dx^2 + dy^2 is a double root: a collision
             (x1, y1), (x2, y2) = (coeffs[p - 1] for p in pair)

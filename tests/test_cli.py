@@ -291,6 +291,8 @@ def test_geometry_ops(capsys):
     (("--op", "growth", "--n", "13"), "growth sequences need n <= 12, got 13"),
     (("--op", "growth", "--n", "8", "--case23"),
      "case-2/3 growth sequences need n <= 7, got 8"),
+    (("--op", "order", "--n", "22", "--j", "3", "--case", "1"),
+     "growth sequences need n <= 12, got 22"),
     (("--op", "order", "--n", "8", "--j", "3", "--case", "2"),
      "case-2/3 growth sequences need n <= 7, got 8"),
     (("--op", "order", "--n", "9", "--j", "3", "--case", "3"),

@@ -223,6 +223,12 @@ def test_min_angle_sin2_is_sin2_of_the_smallest_angle():
                     continue  # keep the points distinct, no three collinear
                 points.append(p)
         assert min_angle_sin2(points) == _smallest_angle_sin2(points), points
+    # integer points give an exact Fraction too, never a float
+    rows = [([(0, 0), (1, 0), (0, 1)], Fraction(1, 2))]
+    for points, expected in rows:
+        sin2 = min_angle_sin2(points)
+        assert sin2 == expected == _smallest_angle_sin2(points)
+        assert type(sin2) is Fraction
 
 
 def test_crossing_order_case1():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from braidcert import geometry, trace
 from braidcert.errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
@@ -16,9 +17,13 @@ from braidcert.roots import (
     isolate_roots,
     poly,
     poly_add,
+    poly_deriv,
     poly_mul,
     poly_neg,
+    primitive,
     root_compare,
+    sign_at,
+    squarefree_part,
 )
 from braidcert.trace import (
     Trajectory,
@@ -99,19 +104,22 @@ def _sqrt_bracket(d, sign):
     return (lo, hi) if sign > 0 else (-hi, -lo)
 
 
+# t^2 - d for these d has two irrational roots, distinct across the list
+SURDS = [F(2), F(3), F(5), F(7), F(8), F(1, 2), F(3, 4), F(10, 9)]
+
+
 def test_isolate_roots_and_compare_against_known_roots():
     # products of distinct linear factors, some at dyadic midpoints of the
     # interval, and factors t^2 - d with d not a square, of degree 3..6;
     # every root is known, and the bracket of an irrational root is disjoint
     # from every other bracket, so the sorted order is proven exactly
     rng = random.Random(5)
-    surds = [F(2), F(3), F(5), F(7), F(8), F(1, 2), F(3, 4), F(10, 9)]
     exact_midpoints = 0
     for _ in range(150):
         lo = F(rng.choice((-4, -2, 0, F(-1, 3))))
         hi = lo + rng.choice((4, 6, 8))
         dyadic = [lo + (hi - lo) * F(m, 2**e) for e in (1, 2, 3) for m in range(1, 2**e, 2)]
-        quads = rng.sample(surds, rng.choice((0, 0, 1, 2)))
+        quads = rng.sample(SURDS, rng.choice((0, 0, 1, 2)))
         n_lin = rng.randint(max(0, 3 - 2 * len(quads)), 6 - 2 * len(quads))
         lins = set()
         while len(lins) < n_lin:
@@ -163,6 +171,113 @@ def test_sign_two_sqrt_against_rational_squares():
         r = -(u * a + v * b) + rng.choice((0, 0, F(rng.randint(-3, 3), 1000)))
         total = r + u * a + v * b
         assert _sign_two_sqrt(r, u, a * a, v, b * b) == (total > 0) - (total < 0)
+
+
+# Rational oracles for the integer engine: Horner and the Euclidean gcd in
+# Fraction arithmetic, with no rescaling.
+
+def _frac_eval(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _frac_divmod(a, b):
+    rem, quo = [F(c) for c in a], [F(0)] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(rem) - len(b), -1, -1):
+        coef = rem[shift + len(b) - 1] / b[-1]
+        quo[shift] = coef
+        for t, cb in enumerate(b):
+            rem[shift + t] -= coef * cb
+    return poly(quo), poly(rem)
+
+
+def _frac_gcd(a, b):
+    while b:
+        a, b = b, _frac_divmod(a, b)[1]
+    return poly(c / a[-1] for c in a)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+positive_rationals = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+
+
+@st.composite
+def known_products(draw):
+    """A squarefree product of distinct rational linear factors and factors
+    t^2 - d with d not a rational square, times a nonzero rational, with an
+    interval (lo, hi) whose ends are not roots."""
+    lins = draw(st.lists(small_rationals, max_size=4, unique=True))
+    quads = draw(st.lists(st.sampled_from(SURDS), max_size=2, unique=True))
+    p = poly((draw(small_rationals.filter(bool)),))
+    for c in lins:
+        p = poly_mul(p, poly((-c, 1)))
+    for d in quads:
+        p = poly_mul(p, poly((-d, 0, 1)))
+    lo, hi = sorted(draw(st.lists(small_rationals, min_size=2, max_size=2, unique=True)))
+    assume(_frac_eval(p, lo) != 0 and _frac_eval(p, hi) != 0)
+    return p, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(known_products(), positive_rationals)
+def test_isolate_roots_ignores_a_positive_factor(case, factor):
+    p, lo, hi = case
+    scaled = poly(factor * c for c in p)
+    roots, again = isolate_roots(p, lo, hi), isolate_roots(scaled, lo, hi)
+    assert [(r.lo, r.hi, r.exact) for r in roots] == [(r.lo, r.hi, r.exact) for r in again]
+    for (x, rx), (y, ry) in product(enumerate(roots), enumerate(again)):
+        expected = (x > y) - (x < y)
+        assert root_compare(rx, ry) == expected == root_compare(rx, roots[y])
+        assert root_compare(again[x], ry) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_rationals, max_size=6).map(poly), small_rationals)
+def test_sign_at_matches_a_rational_horner(p, x):
+    value = _frac_eval(p, x)
+    assert sign_at(primitive(p), x) == (value > 0) - (value < 0)
+
+
+@st.composite
+def quadratics(draw):
+    """Nonzero polynomials of degree <= 2; a quarter are perfect squares."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        a, r = draw(small_rationals.filter(bool)), draw(small_rationals)
+        return poly((a * r * r, -2 * a * r, a))
+    q = poly(draw(st.lists(small_rationals, min_size=3, max_size=3)))
+    assume(q)
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratics())
+def test_quadratic_squarefree_part_matches_the_gcd(q):
+    g = _frac_gcd(q, poly_deriv(q))
+    assert squarefree_part(q) == primitive(_frac_divmod(q, g)[0])
+    assert (len(squarefree_part(q)) == len(q)) == (len(g) == 1)
+
+
+def test_integer_input_gives_integer_roots():
+    lin = lambda c: (-c, 1)
+    p = poly_mul(poly_mul(poly_mul(lin(1), lin(2)), lin(3)), (-2, 0, 1))
+    roots = isolate_roots(p, F(-2), F(4)) + isolate_roots((-3, 0, 1), 0, 2)
+    assert len(roots) == 6
+    for r in roots + [r.refined() for r in roots]:
+        assert type(r.lo) is Fraction and type(r.hi) is Fraction
+        assert all(type(c) is int for c in r.minimal)
+    assert [root_compare(a, b) for a, b in zip(roots, roots[1:])] == [-1, -1, -1, -1, 1]
+
+
+def test_sturm_chain_with_a_degree_gap():
+    # t^4 + 2t - 1: its Sturm chain drops from degree 3 to 1 under a negative
+    # leading coefficient, where only a sign-preserving pseudo-remainder
+    # (|lc|^3, not lc^3) keeps the two roots in (-2, -1) and (0, 1)
+    roots = isolate_roots((-1, 2, 0, 0, 1), F(-4), F(4))
+    assert len(roots) == 2
+    marks = [RealRoot.from_rational(c) for c in (-2, -1, 0, 1)]
+    assert [root_compare(r, m) for r in roots for m in marks] == [1, -1, -1, -1, 1, 1, 1, -1]
 
 
 def _leibniz_det(rows):
@@ -533,6 +648,10 @@ def test_builders_return_their_trace(kind, n, i, j):
     traj, events = build(i, j, n)
     assert event_log(events) == event_log(trace_events(traj, k))
     assert trajectory_from_json(trajectory_to_json(traj)) == traj
+    # no float on the computational path: exact endpoints, integer polynomials
+    for ev in events:
+        assert type(ev.root.lo) is Fraction and type(ev.root.hi) is Fraction
+        assert all(type(c) is int for c in ev.root.minimal)
 
 
 def test_parabola_simulator_errors():
