@@ -7,15 +7,17 @@ JSON keys, no timestamps); randomized verification suites take --seed.
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation or an unwritable output path.  Parabola motions are limited to
 n <= 7, so `simulate --kind parabola` and `verify --suite tracer` with
-n >= 8 exit 3 at once, as does `geometry --op growth` beyond n = 12 (n = 7
-with --case23), whose last abscissa would not print in decimal, and
-`geometry --op order --case 2|3` beyond n = 7, whose case-2/3 upgrade would
-run for seconds and more.
+n >= 8 exit 3 at once.  So does `verify --suite relators` beyond n = 9,
+whose braid relators would run for minutes; `geometry --op growth` beyond
+n = 12 (n = 7 with --case23), whose last abscissa would not print in
+decimal; and `geometry --op order --case 2|3` beyond n = 7, whose case-2/3
+upgrade would run for seconds and more.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -114,28 +116,48 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
+_RELATORS_MAX_N = 9
+
+
+def _same_phi(u: gnk.GnkWord, v: gnk.GnkWord, bases) -> bool:
+    """Whether ``u`` is even and has the parity image of the even word ``v``
+    on every base; ``psi`` needs no check, as it vanishes on even words."""
+    return parity.is_even(u) and all(parity.phi(u, b) == parity.phi(v, b) for b in bases)
+
+
 def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
-    checks: list[tuple[str, bool]] = []
+    """Each relator of G_n^k, and the image of each braid relator, must act
+    trivially on Z x H from every start state (x0, 1).  It is checked from
+    x0 = 0 alone, which covers every x0 by translation:
+
+        phi_at(w, b, x0) == (x0 ^ X, tuple(v ^ x0 for v in Y)),
+        where (X, Y) = phi_at(w, b, 0).
+
+    Proof, by induction on the letters.  ``act_letter`` picks its branch by
+    comparing the letter with the base, which involves no state.  Beyond
+    that it only compares indices with each other (the first letter of y
+    with x) and xors them (psi of the letter into x), and it prepends x to
+    y or drops the first letter of y.  Each of these commutes with xor by
+    x0 on x and on every letter of y.  Hence a word acts trivially from
+    every state iff it does so from 0, that is, iff X = 0 and Y is empty.
+    For an even word, as every relator and its image is, X = psi(w) = 0, so
+    the check is ``phi(w) == ()``.
+
+    Beyond n = 9 the suite is refused before any relator is built: the
+    braid relators alone take 20 s at n = 10, k = 3, and minutes at k = 4.
+    """
+    if n > _RELATORS_MAX_N:
+        raise InvalidContext(f"the relators suite needs n <= {_RELATORS_MAX_N}, got {n}")
     bases = parity.all_bases(n, k)
-    for idx, r in enumerate(gnk.relators(n, k)):
-        ok = all(
-            parity.phi_at(r, base, x) == (x, ())
-            for base in bases
-            for x in range(1 << bases[0].dim)
-        )
-        checks.append((f"group relator {idx} acts trivially", ok))
-    mappers = {3: pbraid.map_pb_to_g3, 4: pbraid.map_pb_to_g4}
-    if n >= k and k in mappers:
-        for rel in pbraid.pb_relators(n):
-            if rel.tag == "printed_vacuous":
-                continue
-            diff = rel.left * rel.right.inverse()
-            image = mappers[k](diff)
-            ok = parity.is_even(image) and all(
-                parity.psi_word(image, base) == 0 and parity.phi(image, base) == ()
-                for base in bases
-            )
-            checks.append((f"braid relator {rel.left} = {rel.right} maps to 1", ok))
+    one = gnk.GnkWord(n, k, ())
+    checks = [(f"group relator {idx} acts trivially", _same_phi(r, one, bases))
+              for idx, r in enumerate(gnk.relators(n, k))]
+    mapper = pbraid.map_pb_to_g3 if k == 3 else pbraid.map_pb_to_g4
+    for rel in pbraid.pb_relators(n):
+        if rel.tag != "printed_vacuous":
+            image = mapper(rel.left * rel.right.inverse())
+            checks.append((f"braid relator {rel.left} = {rel.right} maps to 1",
+                           _same_phi(image, one, bases)))
     return checks
 
 
@@ -202,13 +224,6 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
     if n < 3:
         raise InvalidContext(f"the tracer suite needs n >= 3, got {n}")
 
-    def agrees(traced: gnk.GnkWord, image: gnk.GnkWord, bases) -> bool:
-        return parity.is_even(traced) and all(
-            parity.psi_word(traced, b) == parity.psi_word(image, b)
-            and parity.phi(traced, b) == parity.phi(image, b)
-            for b in bases
-        )
-
     # built first, so its n <= 7 limit stops the suite at once; reported last
     parabola_events = trace.simulate_bij_parabola(1, 2, n)[1] if n >= 4 else None
     checks: list[tuple[str, bool]] = []
@@ -220,12 +235,12 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
             traced = trace.event_word(n, 3, events)
             image = pbraid.map_pb_to_g3(w, reduced=False)
             checks.append((f"circle trace of b{i}{j} matches the k=3 image",
-                           agrees(traced, image, bases)))
+                           _same_phi(traced, image, bases)))
     if parabola_events is not None:
         traced = trace.event_word(n, 4, parabola_events)
         image = pbraid.map_pb_to_g4(pbraid.PBWord(n, (pbraid.pb_letter(1, 2),)), reduced=False)
         checks.append(("parabola trace of b12 matches the k=4 image",
-                       agrees(traced, image, parity.all_bases(n, 4))))
+                       _same_phi(traced, image, parity.all_bases(n, 4))))
     return checks
 
 
@@ -388,9 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

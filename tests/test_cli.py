@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from braidcert import cli, gnk, parity, pbraid
 from braidcert.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -134,6 +141,120 @@ def test_verify_relators(capsys):
     summary = json.loads(out)
     assert summary["failed"] == 0
     assert summary["checks"] == summary["passed"] > 0
+
+
+def relators_by_enumeration(n, k):
+    """The relators suite's checks, each from every one of the 2^dim start
+    states of every base: a relator passes iff it acts trivially on Z x H."""
+    bases = parity.all_bases(n, k)
+
+    def trivial(w):
+        return all(parity.phi_at(w, b, x) == (x, ())
+                   for b in bases for x in range(1 << b.dim))
+
+    checks = [(f"group relator {idx} acts trivially", trivial(r))
+              for idx, r in enumerate(gnk.relators(n, k))]
+    mapper = pbraid.map_pb_to_g3 if k == 3 else pbraid.map_pb_to_g4
+    for rel in pbraid.pb_relators(n):
+        if rel.tag != "printed_vacuous":
+            checks.append((f"braid relator {rel.left} = {rel.right} maps to 1",
+                           trivial(mapper(rel.left * rel.right.inverse()))))
+    return checks
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)])
+def test_relators_suite_matches_full_enumeration(n, k):
+    # the suite starts from the zero state only; translation covariance
+    # (tests/test_parity.py) says that covers every start state
+    checks = cli._suite_relators(n, k)
+    assert checks == relators_by_enumeration(n, k)
+    assert checks and all(ok for _, ok in checks)
+
+
+def test_verify_relators_rejects_a_nontrivial_relator(capsys, monkeypatch):
+    # m and m2 share k-1 indices, so they do not far-commute, and the
+    # commutator (m m2)^2 acts nontrivially
+    m, m2 = (1, 2, 3), (1, 2, 4)
+    assert not gnk.far_commutes(m, m2)
+    bogus = gnk.GnkWord(4, 3, (m, m2, m, m2))
+    relators = gnk.relators
+
+    def with_bogus(n, k):
+        return relators(n, k) + [bogus]
+
+    monkeypatch.setattr(gnk, "relators", with_bogus)
+    name = f"group relator {len(relators(4, 3))} acts trivially"
+    assert [c for c in relators_by_enumeration(4, 3) if not c[1]] == [(name, False)]
+    code, out, err = run(capsys, "verify", "--suite", "relators", "--n", "4", "--k", "3")
+    assert code == 1
+    assert err == ""
+    assert json.loads(out)["failures"] == [name]
+
+
+def test_verify_tracer_rejects_another_image(capsys, monkeypatch):
+    # b12's circle trace is compared against the image of b13, whose phi
+    # differs from b12's on some base
+    n = 4
+    b12, b13 = (pbraid.PBWord(n, (pbraid.pb_letter(1, j),)) for j in (2, 3))
+    image = pbraid.map_pb_to_g3
+
+    def swapped(w, reduced=True):
+        return image(b13 if w == b12 else w, reduced=reduced)
+
+    bases = parity.all_bases(n, 3)
+    u, v = image(b12, reduced=False), image(b13, reduced=False)
+    assert any(parity.phi(u, b) != parity.phi(v, b) for b in bases)
+    assert not cli._same_phi(u, v, bases) and cli._same_phi(u, u, bases)
+    monkeypatch.setattr(pbraid, "map_pb_to_g3", swapped)
+    code, out, _ = run(capsys, "verify", "--suite", "tracer", "--n", str(n))
+    assert code == 1
+    assert json.loads(out)["failures"] == ["circle trace of b12 matches the k=3 image"]
+
+
+def test_verify_relators_size_limit_fails_fast(capsys, monkeypatch):
+    calls = []
+    relators = gnk.relators
+    monkeypatch.setattr(gnk, "relators", lambda *a: calls.append(a) or relators(*a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "relators", "--n", "10", "--k", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == "error: the relators suite needs n <= 9, got 10\n"
+    assert calls == []
+
+
+def fresh_process(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "braidcert.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_built_once_and_reused_cleanly(tmp_path, capsys, monkeypatch):
+    # one parser serves every call of main in a process; options of one call
+    # must not leak into the next, and a rejected argv must still print the
+    # usage and exit 2, as a fresh process does
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    argvs = [
+        ("bounds", "--n", "4", "--budget", "2", "--out-dir", "certs", "b13 B23"),
+        ("bounds", "--gnk", "--n", "4", "--k", "3", "--budget", "0", "a123 a234 a123 a234"),
+        ("verify", "--suite", "relators", "--n", "5", "--k", "4"),
+        ("verify", "--suite", "relators"),
+        ("verify", "--suite", "relators", "--k", "5"),
+    ]
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh_process(argv, tmp_path)
+    assert len(built) == 1
 
 
 def test_verify_appendix_deterministic(capsys):
