@@ -37,10 +37,23 @@ def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
     return parity.BaseChoice(n, k, m)
 
 
+# Python's default limit on the decimal digits of an int it converts to or
+# from text; `geometry` refuses exponents and results beyond it.
+_DIGITS_MAX = 4300
+
+
 def _rationals(text: str, count: int, message: str) -> list[Fraction]:
-    """Exactly ``count`` rationals separated by commas or semicolons."""
+    """Exactly ``count`` rationals separated by commas or semicolons.  An
+    exponent beyond +-_DIGITS_MAX is refused before Fraction expands it into
+    a power of ten (which takes seconds at 1e10000000)."""
+    tokens = [tok for tok in text.replace(";", ",").split(",") if tok]
+    for tok in tokens:
+        exp = tok.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        # without leading zeros, five digits or more exceed the limit
+        if exp.isdecimal() and int(exp[:5]) > _DIGITS_MAX:
+            raise InvalidContext(f"value exponents must lie within -{_DIGITS_MAX}..{_DIGITS_MAX}")
     try:
-        values = [Fraction(tok) for tok in text.replace(";", ",").split(",") if tok]
+        values = [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational list {text!r}") from None
     if len(values) != count:
@@ -120,9 +133,13 @@ _RELATORS_MAX_N = 9
 
 
 def _same_phi(u: gnk.GnkWord, v: gnk.GnkWord, bases) -> bool:
-    """Whether ``u`` is even and has the parity image of the even word ``v``
-    on every base; ``psi`` needs no check, as it vanishes on even words."""
-    return parity.is_even(u) and all(parity.phi(u, b) == parity.phi(v, b) for b in bases)
+    """Whether ``u`` is even and has the parity image of ``v`` on every base.
+    Both suites build ``v`` even (the empty word, or an unreduced map image),
+    and ``psi`` vanishes on even words, so from the zero state both words
+    end in (0, their image): equal states mean equal images.  The evenness
+    of ``u`` is checked once, not once per base."""
+    return parity.is_even(u) and all(parity.phi_at(u, b) == parity.phi_at(v, b)
+                                     for b in bases)
 
 
 def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
@@ -301,34 +318,39 @@ def _growth_sequence(n: int, case23: bool) -> geometry.ParabolaConfig:
 
 
 def cmd_geometry(args) -> int:
+    """Every result line is computed first, and printed only if no number in
+    it has a numerator or denominator of more than _DIGITS_MAX digits."""
     if args.op == "delta":
         xs = _rationals(args.values, 4, "delta needs four abscissas")
-        concyclic = geometry.concyclic_on_parabola(*xs)  # rejects repeats before any output
-        print("delta:", geometry.delta_det(*xs))
-        print("factored:", geometry.delta_factored(*xs))
-        print("concyclic:", "true" if concyclic else "false")
+        lines = [("delta", geometry.delta_det(*xs)), ("factored", geometry.delta_factored(*xs)),
+                 ("concyclic", "true" if geometry.concyclic_on_parabola(*xs) else "false")]
     elif args.op == "fourth":
         ts = _rationals(args.values, 3, "fourth needs three abscissas")
-        print("fourth_intersection:", geometry.fourth_intersection(*ts))
+        lines = [("fourth_intersection", geometry.fourth_intersection(*ts))]
     elif args.op == "circle":
         vals = _rationals(args.values, 6, "circle needs three points: x1,y1;x2,y2;x3,y3")
         pts = [(vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])]
         center, r2 = geometry.circle_through(*pts)
-        print(f"center: {center[0]},{center[1]}")
-        print("radius_sq:", r2)
+        lines = [("center", *center), ("radius_sq", r2)]
     elif args.op == "slope":
         ts = _rationals(args.values, 3, "slope needs tk,tl,tm")
-        print("kappa:", geometry.slope_kappa(*ts))
+        lines = [("kappa", geometry.slope_kappa(*ts))]
     elif args.op == "growth":
         cfg = _growth_sequence(args.n, args.case23)
-        print("ts:", ",".join(str(t) for t in cfg.ts))
-        print("case1:", "true" if geometry.check_growth_case1(cfg) else "false")
+        lines = [("ts", *cfg.ts),
+                 ("case1", "true" if geometry.check_growth_case1(cfg) else "false")]
         if cfg.n >= 3:
-            print("case23:", "true" if geometry.check_growth_case23(cfg) else "false")
+            lines.append(("case23", "true" if geometry.check_growth_case23(cfg) else "false"))
     else:  # order
         cfg = _growth_sequence(args.n, case23=args.case != 1)
         order = geometry.crossing_order(cfg, args.j, args.case)
-        print("order:", " ".join(f"({l},{m})" for l, m in order))
+        lines = [("order", " ".join(f"({l},{m})" for l, m in order))]
+    limit = 10 ** _DIGITS_MAX
+    if any(abs(v.numerator) >= limit or v.denominator >= limit
+           for _, *vals in lines for v in vals if not isinstance(v, str)):
+        raise InvalidContext(f"a result has more than {_DIGITS_MAX} digits")
+    for label, *vals in lines:
+        print(f"{label}:", ",".join(str(v) for v in vals))
     return 0
 
 

@@ -22,7 +22,6 @@ The key facts, all checked exactly in the test suite:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -295,19 +294,3 @@ def g4_word_geometric(i: int, j: int, cfg: ParabolaConfig) -> GnkWord:
                for l, m in crossing_order(cfg, j, case, exclude={i})]
     return GnkWord(n, 4, tuple(letters))
 
-
-# ---------------------------------------------------------------------------
-# Exact square-root bounds (used by the trajectory builders).
-
-def ceil_sqrt(x: Fraction) -> Fraction:
-    """A conservative rational upper bound on sqrt(x) (loose is fine: it only
-    shrinks safety clearances)."""
-    x = Fraction(x)
-    if x < 0:
-        raise DegenerateInput("negative radicand")
-    if x == 0:
-        return Fraction(0)
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    # (num+1)/den over-approximates sqrt(num/den)
-    return Fraction(num + 1, max(den, 1))

@@ -25,16 +25,16 @@ each in its own quarter of [0, 1].  Both motions go through one four-stage
 assembler and differ only in their stage polylines.  On a circle (trisecants)
 the mover slides along the inside hugging the circle, so it crosses a chord
 exactly when passing one of its endpoints; on the parabola (concyclicities)
-the mover hops over each passed point and otherwise stays inside the safe
-strip between the parabola and the lowest circle arcs.  All clearances are
-rational, and while a parabola motion is built its corridors are split until
-no segment crosses a static circle.  Both simulators build once, and one
-shared step is the only check of the finished motion: its exact trace must
-give (via event_word) the expected word letter for letter, the unreduced
+the mover hops over each passed point and otherwise runs at a fixed
+rational height eta above the parabola, its corridors split until no segment
+crosses a static circle.  Both simulators build once, and one shared step is
+the only check of the finished motion: its exact trace must give (via
+event_word) the expected word letter for letter, the unreduced
 map_pb_to_g3 image of b_ij on the circle and the word of the passing blocks
 pbraid.g4_c on the parabola; no slopes are sorted.  A crossing of a static
 circle makes the mover concyclic with its three points, so the trace fixes
-the number, order and identity of every crossing.  The step returns
+the number, order and identity of every crossing, and it rejects a tangency
+with such a circle, or a breakpoint on one, as a degeneracy.  The step returns
 (trajectory, events), so a motion is never traced twice.
 """
 
@@ -52,7 +52,6 @@ from .errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTraj
 from .geometry import (
     _CASE23_MAX_N,
     ParabolaConfig,
-    ceil_sqrt,
     circle_through,
     growth_sequence_case1,
     upgrade_to_case23,
@@ -237,9 +236,11 @@ def event_word(n: int, k: int, events: Iterable[SecantEvent]) -> GnkWord:
 # Exact segment-versus-circle crossings (keeping parabola corridors clear).
 
 def _crosses(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> bool:
-    """Whether the open segment crosses the circle.  A tangency or an
-    endpoint exactly on the circle ends the build: it raises
-    NonGenericTrajectory."""
+    """Whether the segment crosses the circle: its ends lie on opposite
+    sides, or both outside with the vertex of q(s) = |p0 + s (p1 - p0) -
+    centre|^2 - r^2 = A s^2 + B s + C inside (0, 1) and below zero.  A
+    tangency or an end exactly on the circle is left to the trace, which
+    rejects it as a tangential or slab-boundary concyclicity."""
     (a, b), r2 = circle
     wx, wy = p0[0] - a, p0[1] - b
     vx, vy = p1[0] - p0[0], p1[1] - p0[1]
@@ -247,21 +248,7 @@ def _crosses(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> bool:
     B = 2 * (vx * wx + vy * wy)
     C = wx * wx + wy * wy - r2
     q0, q1 = C, A + B + C
-    if q0 == 0 or q1 == 0:
-        raise NonGenericTrajectory("tangential or boundary contact")
-    if A == 0:  # p0 == p1
-        return False
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return False
-    tv = Fraction(-B, 2 * A)
-    if disc == 0:
-        if 0 <= tv <= 1:
-            raise NonGenericTrajectory("tangential or boundary contact")
-        return False
-    # ends on opposite sides cross once; ends both outside cross twice iff
-    # the vertex lies inside (the quadratic opens upward since A > 0)
-    return (q0 > 0) != (q1 > 0) or (q0 > 0 and 0 < tv < 1)
+    return (q0 > 0) != (q1 > 0) or (q0 > 0 and 0 < -B < 2 * A and B * B > 4 * A * C)
 
 
 def _four_stage(i: int, j: int, homes: Sequence[Point],
@@ -388,52 +375,16 @@ def _static_circles(static_ts: Iterable[Fraction]) -> list[tuple[Point, Fraction
             for ts in combinations(sorted(static_ts), 3)]
 
 
-def _safe_ceiling(t: Fraction, circles) -> Fraction | None:
-    """Rational lower bound on the height above the parabola at abscissa t at
-    which the vertical ray first meets some static circle; None if it meets
-    none.  Points strictly below the ceiling are on the same side of every
-    circle as the parabola point itself."""
-    y0 = t * t
-    best: Fraction | None = None
-    for (a, b), r2 in circles:
-        q = (t - a) ** 2 + (y0 - b) ** 2 - r2
-        beta = y0 - b  # Q(h) = h^2 + 2 beta h + q
-        if q == 0:
-            return Fraction(0)
-        if q > 0:
-            if beta >= 0:
-                continue  # moving up leaves the circle further behind
-            if (t - a) ** 2 >= r2:
-                continue  # the vertical line misses the circle
-            bound = q / (-2 * beta)
-        else:
-            if beta < 0:
-                bound = -beta
-            else:
-                bound = -q / (2 * beta + 2 * ceil_sqrt(-q))
-        best = bound if best is None else min(best, bound)
-    return best
-
-
-def _low_point(t: Fraction, circles, eta: Fraction) -> Point:
-    """The point at abscissa t, eta above the parabola or half way up to the
-    safe ceiling, whichever is lower: on the parabola's side of every static
-    circle."""
-    ceiling = _safe_ceiling(t, circles)
-    if ceiling == 0:
-        raise NonGenericTrajectory("no clearance above the parabola")
-    return _parabola_pt(t, eta if ceiling is None else min(eta, ceiling / 2))
-
-
 def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
                    depth: int = 0) -> list[Point]:
-    """Polyline from p0 to p1 crossing no static circle, built by splitting
-    offending segments at the midline of the safe strip."""
+    """Polyline from p0 to p1 crossing no static circle: a segment that
+    crosses one is split at the point eta above the parabola at its middle
+    abscissa, and both halves are checked again."""
     if not any(_crosses(p0, p1, c) for c in circles):
         return [p0, p1]
     if depth > 48:
         raise NonGenericTrajectory("corridor subdivision did not converge")
-    mid = _low_point((p0[0] + p1[0]) / 2, circles, eta)
+    mid = _parabola_pt((p0[0] + p1[0]) / 2, eta)
     left = _safe_polyline(p0, mid, circles, eta, depth + 1)
     right = _safe_polyline(mid, p1, circles, eta, depth + 1)
     return left[:-1] + right
@@ -442,11 +393,12 @@ def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
 def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction],
                       static_ts: list[Fraction]) -> list[Point]:
     """Waypoints of one stage from abscissa start_t to end_t, past the static
-    points at static_ts: lift off the parabola, then for each rounded
-    abscissa (in travel order) a safe corridor and a hop up to the apex above
-    it and down, then a last corridor and the drop back to the parabola.
-    Only the corridors are kept off the static circles; the hops are judged
-    by the trace of the finished motion."""
+    points at static_ts: lift off the parabola to the height eta, then for
+    each rounded abscissa (in travel order) a corridor at that height and a
+    hop up to the apex above it and down, then a last corridor and the drop
+    back to the parabola.  Only the corridors are split off the static
+    circles; the hops, and any tangency or contact a corridor keeps, are
+    judged by the trace of the finished motion."""
     circles = _static_circles(static_ts)
     landmarks = sorted(set(static_ts) | {start_t, end_t, *rounded})
 
@@ -455,14 +407,14 @@ def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction
 
     eta = min(local_gap(start_t), local_gap(end_t)) / 64
     side = 1 if end_t > start_t else -1
-    path = [_parabola_pt(start_t), _low_point(start_t, circles, eta)]
+    path = [_parabola_pt(start_t), _parabola_pt(start_t, eta)]
     for t_u in rounded:
         delta = local_gap(t_u) / 16
-        base_l = _low_point(t_u - side * delta, circles, eta)
-        base_r = _low_point(t_u + side * delta, circles, eta)
+        base_l = _parabola_pt(t_u - side * delta, eta)
+        base_r = _parabola_pt(t_u + side * delta, eta)
         path += _safe_polyline(path[-1], base_l, circles, eta)[1:]
         path += [_parabola_pt(t_u, local_gap(t_u) / 8 * (2 * abs(t_u) + 1)), base_r]
-    path += _safe_polyline(path[-1], _low_point(end_t, circles, eta), circles, eta)[1:]
+    path += _safe_polyline(path[-1], _parabola_pt(end_t, eta), circles, eta)[1:]
     path.append(_parabola_pt(end_t))
     return _polyline(path)
 
@@ -484,11 +436,11 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
 
     The abscissas come from the canonical growth sequence, upgraded until the
     case-2/3 growth condition holds, so the crossing orders are frozen.  The
-    build keeps its corridors off the static circles; the one check of the
-    finished motion is its concyclicity trace, which must reproduce
-    _motion_word_g4 letter for letter.  It builds once: a corridor that
-    cannot be cleared, a trace degeneracy or a different traced word raises
-    NonGenericTrajectory.  A retry with smaller offsets cannot help:
+    build splits its corridors where they cross a static circle; the one
+    check of the finished motion is its concyclicity trace, which must
+    reproduce _motion_word_g4 letter for letter.  It builds once: a corridor
+    that cannot be cleared, a trace degeneracy or a different traced word
+    raises NonGenericTrajectory.  A retry with smaller offsets cannot help:
     the growth conditions freeze the order in which the mover meets the
     circles, and halving the offsets changed the outcome of no generator
     at n = 4..7.

@@ -205,6 +205,9 @@ def test_verify_tracer_rejects_another_image(capsys, monkeypatch):
     u, v = image(b12, reduced=False), image(b13, reduced=False)
     assert any(parity.phi(u, b) != parity.phi(v, b) for b in bases)
     assert not cli._same_phi(u, v, bases) and cli._same_phi(u, u, bases)
+    # compared with itself, an odd word can only be refused for its parity
+    odd = gnk.GnkWord(n, 3, u.letters + u.letters[:1])
+    assert not parity.is_even(odd) and not cli._same_phi(odd, odd, bases)
     monkeypatch.setattr(pbraid, "map_pb_to_g3", swapped)
     code, out, _ = run(capsys, "verify", "--suite", "tracer", "--n", str(n))
     assert code == 1
@@ -418,11 +421,19 @@ def test_geometry_ops(capsys):
      "case-2/3 growth sequences need n <= 7, got 8"),
     (("--op", "order", "--n", "9", "--j", "3", "--case", "3"),
      "case-2/3 growth sequences need n <= 7, got 9"),
+    (("--op", "fourth", "--values", "1e5000,2,3"),
+     "value exponents must lie within -4300..4300"),
+    (("--op", "slope", "--values", "1e10000000,2,3"),
+     "value exponents must lie within -4300..4300"),
+    (("--op", "circle", "--values", "1/3,1e1500;2,5;7,1/11"),
+     "a result has more than 4300 digits"),
 ])
 def test_geometry_growth_size_limit(capsys, argv, message):
     # refused before any sequence is built: t_13, and t_8 after the case-2/3
     # upgrade, have more digits than Python prints in decimal, and the
-    # upgrade itself runs for seconds at n = 8 and longer beyond
+    # upgrade itself runs for seconds at n = 8 and longer beyond; a value
+    # exponent beyond 4300 is refused before Fraction expands it, and a
+    # result too long to print before any line of it is printed
     start = time.perf_counter()
     code, out, err = run(capsys, "geometry", *argv)
     assert time.perf_counter() - start < 1

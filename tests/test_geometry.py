@@ -13,7 +13,6 @@ from braidcert.errors import (
 )
 from braidcert.geometry import (
     ParabolaConfig,
-    ceil_sqrt,
     check_growth_case1,
     check_growth_case23,
     circle_through,
@@ -279,8 +278,3 @@ def test_g4_word_geometric_matches_algebraic_block():
             for j in range(i + 1, n + 1):
                 assert g4_word_geometric(i, j, cfg).letters == g4_c(i, j, n).letters
 
-
-def test_ceil_sqrt_bounds():
-    for x in (Fraction(2), Fraction(49), Fraction(1, 3), Fraction(10**12 + 7)):
-        bound = ceil_sqrt(x)
-        assert bound * bound >= x

@@ -392,6 +392,8 @@ def test_whole_slab_degeneracy_rejected():
         event_word(traj.n, 3, trace_events(traj, 3))
 
 
+_UNIT_CIRCLE = tuple(static_path((F(x), F(y))) for x, y in ((1, 0), (-1, 0), (0, 1)))
+
 # Every degeneracy the tracer rejects, with the tuple and slab it names.
 _DEGENERACIES = {
     # orientation determinant s^2 with s = 4t - 1: a double root at t = 1/4
@@ -428,6 +430,14 @@ _DEGENERACIES = {
         static_path((F(2), F(0))),
         path_through((0, (1, 1)), (F(1, 2), (-1, -1)), (1, (1, 1))),
     ), "two points collide", (1, 3), (F(0), F(1, 2))),
+    # a parabola corridor may keep a tangency with, or an end on, a static
+    # circle (here the unit circle): the trace rejects both
+    "circle-tangent": (4, _UNIT_CIRCLE + (
+        path_through((0, (-1, -1)), (F(1, 2), (1, -1)), (1, (-1, -1))),
+    ), "tangential concyclic", (1, 2, 3, 4), (F(0), F(1, 2))),
+    "circle-boundary": (4, _UNIT_CIRCLE + (
+        path_through((0, (1, -2)), (F(1, 2), (0, -1)), (1, (1, -2))),
+    ), "concyclic at a slab boundary", (1, 2, 3, 4), (F(0), F(1, 2))),
 }
 
 
