@@ -38,20 +38,25 @@ def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
 
 
 # Python's default limit on the decimal digits of an int it converts to or
-# from text; `geometry` refuses exponents and results beyond it.
+# from text; `geometry` refuses values, exponents and results beyond it.
 _DIGITS_MAX = 4300
 
 
 def _rationals(text: str, count: int, message: str) -> list[Fraction]:
     """Exactly ``count`` rationals separated by commas or semicolons.  An
     exponent beyond +-_DIGITS_MAX is refused before Fraction expands it into
-    a power of ten (which takes seconds at 1e10000000)."""
+    a power of ten (which takes seconds at 1e10000000), and a numerator or
+    denominator of more than _DIGITS_MAX digits as written before Fraction
+    fails on it with a parse error that would echo the whole list."""
     tokens = [tok for tok in text.replace(";", ",").split(",") if tok]
     for tok in tokens:
-        exp = tok.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        mantissa, _, exp = tok.lower().partition("e")
+        exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
         # without leading zeros, five digits or more exceed the limit
         if exp.isdecimal() and int(exp[:5]) > _DIGITS_MAX:
             raise InvalidContext(f"value exponents must lie within -{_DIGITS_MAX}..{_DIGITS_MAX}")
+        if any(sum(c.isdecimal() for c in part) > _DIGITS_MAX for part in mantissa.split("/")):
+            raise InvalidContext(f"a value has more than {_DIGITS_MAX} digits")
     try:
         values = [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError):

@@ -11,17 +11,29 @@ depends only on i, j and m.  The minimal number of switches needed to kill
 the image word is therefore a lower bound for the unknotting number of the
 braid; this module computes it exactly by an interval DP over the
 non-crossing matchings of the image's letters (min_switches_witness): O(L^3)
-steps for an image of length L, plus a ball of radius at most ceil(budget/2)
-in the span of the switch vectors.  Next to it sits the cheaper projection
-bound through the group algebra Z/2[Z].
+steps for an image of length L, each pair priced by a closed-form switch
+distance (_distance).  Next to it sits the cheaper projection bound through
+the group algebra Z/2[Z].
 
-Both the projection bound and the feasibility test count letters per coset
-of a subspace of Z, and never enumerate Z or the subspace.  A subspace is held
-as a reduced-echelon GF(2) basis (distinct leading bits, each leading bit set
-in exactly one basis vector); the canonical key of the coset x + span is the
+The switch vectors have a fixed shape.  Z splits into one block (Z/2)^(k-1)
+per index p outside m, and psi puts the k letters m - {i} + {p} into block p
+as e_1 .. e_(k-1) and their sum, which add up to 0.  Hence
+
+    z_ip = psi(m - {i} + {p})   for i in m, p outside m  (block-local),
+    z_pq = 0                    for p, q outside m,
+    z_ij = psi_i + psi_j        in every block, for i, j in m  (diagonal),
+
+psi_i the block value of the letter missing i.  The block-local vectors
+alone span Z, so every letter can be switched to every other, and the only
+obstruction to killing a word is odd length.
+
+The projection bound counts letters per coset of the span Z0 of the
+diagonal vectors, and never enumerates Z or Z0.  Z0 is held as a
+reduced-echelon GF(2) basis (distinct leading bits, each leading bit set in
+exactly one basis vector); the canonical key of the coset x + Z0 is the
 reduction of x against that basis, which clears every leading bit and equals
-min(x ^ s for s in span).  A key costs O(dim) xors, so counting the letters
-of a word by coset costs O(len * dim), whatever the 2^dim size of Z.
+min(x ^ s for s in Z0).  A key costs O(dim) xors, so counting the letters of
+a word by coset costs O(len * dim), whatever the 2^dim size of Z.
 
 Both certificates come from one pass (_contexts) over the (k, base) contexts
 of their reduced images: unknotting_report feeds it the k = 3 and k = 4
@@ -94,21 +106,19 @@ def gf2_basis(vectors: Iterable[ZVec]) -> tuple[ZVec, ...]:
 
 @dataclass(frozen=True)
 class SwitchSystem:
-    """All switch vectors for one base, plus reduced bases of the two
-    subspaces that drive the feasibility test (all pairs) and the projection
-    bound (pairs inside m).
+    """All switch vectors for one base, plus a reduced basis of the span Z0
+    of the pairs inside m, which drives the projection bound.  The span of
+    all pairs is all of Z (see the module docstring) and needs no basis.
 
-    The constructor takes any generating sets and normalises them.  Coset
-    keys reduce against the bases in O(dim); the spans are never built."""
+    The constructor takes any generating set of Z0 and normalises it.  Coset
+    keys reduce against the basis in O(dim); Z0 is never built."""
 
     base: BaseChoice
     pair_table: tuple[tuple[tuple[int, int], ZVec], ...]
-    z0_basis: tuple[ZVec, ...]    # span of z_ij with {i, j} inside m
-    full_basis: tuple[ZVec, ...]  # span of all z_ij
+    z0_basis: tuple[ZVec, ...]  # span of z_ij with {i, j} inside m
 
     def __post_init__(self):
         object.__setattr__(self, "z0_basis", gf2_basis(self.z0_basis))
-        object.__setattr__(self, "full_basis", gf2_basis(self.full_basis))
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], ZVec]:
@@ -126,16 +136,12 @@ class SwitchSystem:
         """Canonical representative of the coset x + Z0."""
         return gf2_reduce(x, self.z0_basis)
 
-    def full_key(self, x: ZVec) -> ZVec:
-        """Canonical representative of x modulo the span of all z_ij."""
-        return gf2_reduce(x, self.full_basis)
-
 
 def switch_system(base: BaseChoice) -> SwitchSystem:
     table = tuple(((i, j), z_pair(i, j, base))
                   for i, j in combinations(range(1, base.n + 1), 2))
     inside = [z for (i, j), z in table if i in base.m and j in base.m]
-    return SwitchSystem(base, table, inside, [z for _, z in table])
+    return SwitchSystem(base, table, inside)
 
 
 def apply_switch(w: HWord, pos: int, i: int, j: int, sys: SwitchSystem) -> HWord:
@@ -147,12 +153,11 @@ def apply_switch(w: HWord, pos: int, i: int, j: int, sys: SwitchSystem) -> HWord
 
 
 def switch_feasibility_necessary(w: HWord, sys: SwitchSystem) -> bool:
-    """Cheap necessary condition for switch-trivialisability: evenly many
-    letters in every coset of the span of all z_ij.  Switches move letters
-    within their coset and letters cancel in pairs, so no coset parity
-    changes; the word need not be reduced, and its length, the sum of the
-    counts, comes out even too."""
-    return all(c % 2 == 0 for c in Counter(sys.full_key(x) for x in w).values())
+    """Switch-trivialisability: letters cancel in pairs and a switch keeps
+    the length, so an odd word never dies; an even one always does, since
+    the z_ij span all of Z and any two letters can be switched equal.  The
+    word need not be reduced, as reduction keeps the length's parity."""
+    return len(w) % 2 == 0
 
 
 def _check_budget(budget: int) -> None:
@@ -160,42 +165,53 @@ def _check_budget(budget: int) -> None:
         raise InvalidBudget(f"budget must be nonnegative, got {budget}")
 
 
-def _distance(sys: SwitchSystem, cap: int) -> Callable[[ZVec], int]:
-    """Cayley distance d(x) in the span of the switch vectors, generated by
-    the distinct nonzero z_ij: the fewest switches whose vectors sum to x.
-    Distances above ``cap``, and x outside the span, come out as cap + 1.
+def _word_lengths(gens: Iterable[ZVec]) -> dict[ZVec, int]:
+    """Breadth-first Cayley distance from 0 of every element of the span of
+    ``gens``."""
+    gens, dist = tuple(gens), {0: 0}
+    while True:
+        # a y next to an unreached vector lies in the last layer reached
+        layer = {y ^ g: dist[y] + 1 for y in dist for g in gens if y ^ g not in dist}
+        if not layer:
+            return dist
+        dist.update(layer)
 
-    The span is never enumerated.  Breadth-first search grows a ball around
-    0, one layer at a time and only as far as the queries need, up to radius
-    h = ceil(cap/2); inside it d is read off.  Beyond it, meet in the middle:
-    a shortest path of length D in h+1..cap splits into a head of D - h
-    switches and a tail of h, and no head shorter than D - h leaves a tail
-    inside the ball, so D - h is the first layer r <= cap - h holding some s
-    with x ^ s in the ball.  Answers are cached per x."""
-    gens = sorted({z for _, z in sys.pair_table if z})
-    half = (cap + 1) // 2
-    ball = {0: 0}
-    layers = [[0]]
+
+def _distance(sys: SwitchSystem, cap: int) -> Callable[[ZVec], int]:
+    """Cayley distance d(x) in Z, generated by the nonzero z_ij: the fewest
+    switches whose vectors sum to x, or cap + 1 if that exceeds ``cap``.
+    In closed form,
+
+        d(x) = min(cap + 1, min over u of c_D(u) + sum over p of c_B(x_p ^ u)),
+
+    x_p the block of x at p outside m, c_B the Cayley distance in (Z/2)^(k-1)
+    generated by the k block values psi_i, and c_D the one generated by their
+    pairwise xors psi_i ^ psi_j, over the u it reaches.
+
+    Proof.  By the shape of the z_ij (module docstring), the nonzero switch
+    vectors are the block-local psi_i in one block p and the diagonal
+    psi_i ^ psi_j in every block.  Split any set of switches summing to x into
+    its diagonal ones, summing to u in every block, and its block-local ones
+    at each p, summing to x_p ^ u.  There are at least c_D(u) of the first
+    kind and c_B(x_p ^ u) at each p, so d(x) is at least the minimum.  A
+    shortest diagonal path to u plus a shortest path to x_p ^ u in each block
+    attains it.  The tables have at most 2^(k-1) entries; answers are cached
+    per x."""
+    base = sys.base
+    # each letter of psi has one index p outside m, and its value lies in block p
+    block = {v >> base.bit(p, 1) for letter, v in base.psi.items()
+             for p in letter if p not in base.m}
+    c_b = _word_lengths(block)
+    c_d = _word_lengths(a ^ b for a, b in combinations(block, 2)).items()
+    offsets = [base.bit(p, 1) for p in base.outside]
+    mask = (1 << (base.k - 1)) - 1
     cache: dict[ZVec, int] = {}
 
     def d(x: ZVec) -> int:
-        if x in cache:
-            return cache[x]
-        cache[x] = cap + 1
-        if sys.full_key(x):
-            return cache[x]
-        while x not in ball and len(layers) <= half:
-            layers.append([])
-            for y in layers[-2]:
-                for g in gens:
-                    if y ^ g not in ball:
-                        ball[y ^ g] = len(layers) - 1
-                        layers[-1].append(y ^ g)
-        if x in ball:
-            cache[x] = ball[x]
-        else:
-            cache[x] = next((r + half for r in range(1, cap - half + 1)
-                             if any(x ^ s in ball for s in layers[r])), cap + 1)
+        if x not in cache:
+            blocks = [x >> off & mask for off in offsets]
+            cache[x] = min(cap + 1, min(cu + sum(c_b[v ^ u] for v in blocks)
+                                        for u, cu in c_d))
         return cache[x]
 
     return d
@@ -237,8 +253,9 @@ def min_switches_witness(
 
     The minimum is the interval DP value f of the reduced word (_pairing_cost):
     the least sum of d(x_a ^ x_b) over non-crossing perfect matchings of its
-    letters, d the Cayley distance over the distinct nonzero z_ij (_distance).
-    f is infinite for odd words and for letters whose cosets do not pair up.
+    letters, d the switch distance in Z (_distance).  An odd word has no
+    perfect matching and is refused at once.  On an even word f is finite,
+    since the z_ij span Z; the budget only caps d and f at budget + 1.
 
     Soundness (f <= true minimum).  Follow the original letters through any
     switch sequence that ends in the empty word.  Each cancellation removes

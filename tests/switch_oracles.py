@@ -3,8 +3,9 @@
 ``bfs_min_switches_witness`` is the breadth-first search over reduced words
 that ``switches.min_switches_witness`` replaced: exponential in the budget,
 but it tries every switch at every position, so it needs no argument about
-matchings.  The span helpers enumerate a subspace element by element, which
-the library never does."""
+matchings.  The span helpers enumerate a subspace element by element from
+its generators, which the library never does: ``full_span`` reads the
+switch vectors themselves, since the library keeps no basis of their span."""
 
 from braidcert.switches import apply_switch, switch_feasibility_necessary
 from braidcert.words import reduce_involutive
@@ -59,7 +60,7 @@ def z0_span(sys):
 
 def full_span(sys):
     """The span of all switch vectors."""
-    return tuple(span_by_enumeration(sys.full_basis))
+    return tuple(span_by_enumeration(z for _, z in sys.pair_table))
 
 
 def c_z_count(xi, z, sys):

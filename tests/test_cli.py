@@ -427,16 +427,28 @@ def test_geometry_ops(capsys):
      "value exponents must lie within -4300..4300"),
     (("--op", "circle", "--values", "1/3,1e1500;2,5;7,1/11"),
      "a result has more than 4300 digits"),
+    (("--op", "fourth", "--values", "1" * 4301 + ",2,3"),
+     "a value has more than 4300 digits"),
+    (("--op", "slope", "--values", "1/" + "7" * 4301 + ",2,3"),
+     "a value has more than 4300 digits"),
+    (("--op", "fourth", "--values", "1." + "1" * 4300 + ",2,3"),
+     "a value has more than 4300 digits"),
+    (("--op", "fourth", "--values", "1" * 4300 + ",2,3"), None),
 ])
 def test_geometry_growth_size_limit(capsys, argv, message):
     # refused before any sequence is built: t_13, and t_8 after the case-2/3
     # upgrade, have more digits than Python prints in decimal, and the
     # upgrade itself runs for seconds at n = 8 and longer beyond; a value
-    # exponent beyond 4300 is refused before Fraction expands it, and a
-    # result too long to print before any line of it is printed
+    # exponent beyond 4300 is refused before Fraction expands it, a value of
+    # more than 4300 digits before Fraction fails on it, and a result too
+    # long to print before any line of it is printed
     start = time.perf_counter()
     code, out, err = run(capsys, "geometry", *argv)
     assert time.perf_counter() - start < 1
+    if message is None:  # a value of exactly 4300 digits is accepted
+        assert (code, err) == (0, "")
+        assert out == "fourth_intersection: -" + "1" * 4299 + "6\n"
+        return
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
