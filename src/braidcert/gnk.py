@@ -133,11 +133,17 @@ def parse_gnk_letter(token: str, n: int, k: int) -> GeneratorIndex:
         if not match or n > 9:
             raise ParseError(f"bad generator token {token!r} for n={n}")
         m = tuple(int(ch) for ch in match.group(1))
-    _check_letter(m, n, k)
+    try:
+        _check_letter(m, n, k)
+    except InvalidContext as exc:
+        raise ParseError(str(exc)) from None
     return m
 
 
 def parse_gnk_word(text: str, n: int, k: int) -> GnkWord:
+    """Parse a word of the (n, k) group: a bad (n, k) raises InvalidContext,
+    a malformed or out-of-range letter ParseError."""
+    _check_context(n, k)
     return GnkWord(n, k, tuple(parse_gnk_letter(tok, n, k) for tok in text.split()))
 
 

@@ -28,12 +28,11 @@ alone span Z, so every letter can be switched to every other, and the only
 obstruction to killing a word is odd length.
 
 The projection bound counts letters per coset of the span Z0 of the
-diagonal vectors, and never enumerates Z or Z0.  Z0 is held as a
-reduced-echelon GF(2) basis (distinct leading bits, each leading bit set in
-exactly one basis vector); the canonical key of the coset x + Z0 is the
-reduction of x against that basis, which clears every leading bit and equals
-min(x ^ s for s in Z0).  A key costs O(dim) xors, so counting the letters of
-a word by coset costs O(len * dim), whatever the 2^dim size of Z.
+diagonal vectors, and never enumerates Z.  Z0 is a copy of the span of the
+psi_i ^ psi_j in (Z/2)^(k-1), so it has at most 2^(k-1) elements whatever n
+(SwitchSystem) and is held whole; the canonical key of the coset x + Z0 is
+its least element, min(x ^ s for s in Z0).  Counting the letters of a word
+by coset costs at most 2^(k-1) xors per letter, whatever the 2^dim size of Z.
 
 Both certificates come from one pass (_contexts) over the (k, base) contexts
 of their reduced images: unknotting_report feeds it the k = 3 and k = 4
@@ -82,43 +81,34 @@ def z_pair(i: int, j: int, base: BaseChoice) -> ZVec:
     return out
 
 
-def gf2_reduce(x: ZVec, basis: Sequence[ZVec]) -> ZVec:
-    """Canonical representative of the coset x + span(basis), for a basis
-    from gf2_basis: each step clears one leading bit, and the result, having
-    no leading bit set, is min(x ^ s for s in span)."""
-    for b in basis:
-        x = min(x, x ^ b)
-    return x
-
-
-def gf2_basis(vectors: Iterable[ZVec]) -> tuple[ZVec, ...]:
-    """Reduced-echelon basis of the GF(2) span of ``vectors``, sorted by
-    decreasing leading bit.  Each leading bit is set in exactly one basis
-    vector, so the basis depends only on the span."""
-    basis: list[ZVec] = []
-    for v in vectors:
-        v = gf2_reduce(v, basis)
-        if v:
-            top = 1 << (v.bit_length() - 1)
-            basis = sorted([b ^ v if b & top else b for b in basis] + [v], reverse=True)
-    return tuple(basis)
-
-
 @dataclass(frozen=True)
 class SwitchSystem:
-    """All switch vectors for one base, plus a reduced basis of the span Z0
-    of the pairs inside m, which drives the projection bound.  The span of
-    all pairs is all of Z (see the module docstring) and needs no basis.
+    """The switch vectors of one base, each derived from the base on first
+    use: the table of all pairs, read by the exact minimum and apply_switch,
+    and the span Z0 of the pairs inside m, which drives the projection bound.
 
-    The constructor takes any generating set of Z0 and normalises it.  Coset
-    keys reduce against the basis in O(dim); Z0 is never built."""
+    Z0 is small whatever n.  By the shape of the switch vectors (module
+    docstring), z_ij for i, j in m is u = psi_i ^ psi_j repeated in every
+    block, and repeating a vector of (Z/2)^(k-1) in every block is linear and
+    one-to-one.  So Z0 is a copy of D = span{psi_i ^ psi_j}, a subspace of
+    (Z/2)^(k-1), and has at most 2^(k-1) elements: 4 for k = 3, and 4 for
+    k = 4, where the pairwise xors have even weight; just {0} when n = k."""
 
     base: BaseChoice
-    pair_table: tuple[tuple[tuple[int, int], ZVec], ...]
-    z0_basis: tuple[ZVec, ...]  # span of z_ij with {i, j} inside m
 
-    def __post_init__(self):
-        object.__setattr__(self, "z0_basis", gf2_basis(self.z0_basis))
+    @cached_property
+    def pair_table(self) -> tuple[tuple[tuple[int, int], ZVec], ...]:
+        return tuple(((i, j), z_pair(i, j, self.base))
+                     for i, j in combinations(range(1, self.base.n + 1), 2))
+
+    @cached_property
+    def z0(self) -> tuple[ZVec, ...]:
+        """Every element of Z0, sorted."""
+        span = {0}
+        for i, j in combinations(self.base.m, 2):
+            z = z_pair(i, j, self.base)
+            span |= {s ^ z for s in span}
+        return tuple(sorted(span))
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], ZVec]:
@@ -133,15 +123,12 @@ class SwitchSystem:
         return tuple(p for p, _ in self.pair_table)
 
     def z0_key(self, x: ZVec) -> ZVec:
-        """Canonical representative of the coset x + Z0."""
-        return gf2_reduce(x, self.z0_basis)
+        """Canonical representative of the coset x + Z0: its least element."""
+        return min(x ^ s for s in self.z0)
 
 
 def switch_system(base: BaseChoice) -> SwitchSystem:
-    table = tuple(((i, j), z_pair(i, j, base))
-                  for i, j in combinations(range(1, base.n + 1), 2))
-    inside = [z for (i, j), z in table if i in base.m and j in base.m]
-    return SwitchSystem(base, table, inside)
+    return SwitchSystem(base)
 
 
 def apply_switch(w: HWord, pos: int, i: int, j: int, sys: SwitchSystem) -> HWord:
@@ -321,7 +308,7 @@ def c_max(xi: PiVector, sys: SwitchSystem) -> int:
     coset z + Z0 (Z0 spanned by the switch vectors of pairs inside m): the
     size of the largest group of supp(xi) under the Z0 coset key, 0 when xi
     is empty.  Cosets that miss xi count 0, so only the O(|xi|) letters are
-    keyed, at O(dim) each."""
+    keyed, at |Z0| <= 2^(k-1) xors each."""
     return max(Counter(sys.z0_key(x) for x in xi).values(), default=0)
 
 

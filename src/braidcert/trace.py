@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -459,10 +459,18 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
         raise InvalidContext(f"parabola motions need n <= {_CASE23_MAX_N}, got {n}")
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    cfg = upgrade_to_case23(growth_sequence_case1(n))
+    cfg = _case23_config(n)
     return _validated_motion(
         "parabola", i, j, 4, lambda: _build_parabola_trajectory(i, j, n, cfg),
         _motion_word_g4(i, j, n))
+
+
+@cache
+def _case23_config(n: int) -> ParabolaConfig:
+    """Abscissas of the n-point parabola motions: the growth sequence
+    upgraded to the case-2/3 condition.  They depend on n alone, and the
+    upgrade is over a third of a b12 build at n = 7, so it runs once per n."""
+    return upgrade_to_case23(growth_sequence_case1(n))
 
 
 def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig) -> Trajectory:

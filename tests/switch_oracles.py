@@ -4,8 +4,8 @@
 that ``switches.min_switches_witness`` replaced: exponential in the budget,
 but it tries every switch at every position, so it needs no argument about
 matchings.  The span helpers enumerate a subspace element by element from
-its generators, which the library never does: ``full_span`` reads the
-switch vectors themselves, since the library keeps no basis of their span."""
+its generators: ``z0_span`` and ``full_span`` read the switch vectors of
+the pair table, not the library's own Z0, so they check it independently."""
 
 from braidcert.switches import apply_switch, switch_feasibility_necessary
 from braidcert.words import reduce_involutive
@@ -54,8 +54,11 @@ def span_by_enumeration(vectors):
 
 
 def z0_span(sys):
-    """The span of the switch vectors of the pairs inside the base."""
-    return tuple(span_by_enumeration(sys.z0_basis))
+    """The span of the switch vectors of the pairs inside the base, read from
+    the pair table rather than the system's own Z0."""
+    m = sys.base.m
+    return tuple(span_by_enumeration(z for (i, j), z in sys.pair_table
+                                     if i in m and j in m))
 
 
 def full_span(sys):

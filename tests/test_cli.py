@@ -71,6 +71,30 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("phi", "--n", "4", "--k", "3", "a125"), "letter (1, 2, 5) out of range 1..4"),
+    (("reduce", "--gnk", "a132", "--n", "4", "--k", "3"),
+     "letter (1, 3, 2) is not a strictly increasing 3-tuple"),
+    (("bounds", "--gnk", "--n", "4", "--k", "3", "a12"),
+     "letter (1, 2) is not a strictly increasing 3-tuple"),
+    (("phi", "--n", "4", "--k", "3", "a{1,2,11}"), "letter (1, 2, 11) out of range 1..4"),
+])
+def test_malformed_gnk_letter_is_a_parse_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # bounds would persist under ./certificates
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_gnk_context_is_a_precondition_error(capsys):
+    # the (n, k) context is checked before any letter
+    code, out, err = run(capsys, "phi", "--n", "2", "--k", "3", "a125")
+    assert (code, out) == (3, "")
+    assert err == "error: need 1 <= k <= n, got n=2, k=3\n"
+
+
 def test_bounds_worked_example(tmp_path, capsys):
     beta = "a123 a234 a123 a134 a123 a134 a123 a234"
     code, out, _ = run(capsys, "bounds", "--gnk", "--n", "4", "--k", "3",

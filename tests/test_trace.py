@@ -592,6 +592,22 @@ def test_parabola_builder_sorts_no_slopes(monkeypatch):
         assert traced.letters == _motion_word_g4(i, j, n)
 
 
+def test_parabola_abscissas_upgrade_once_per_n(monkeypatch):
+    # the case-2/3 abscissas depend on n alone, so two builds at one n
+    # upgrade the growth sequence once
+    upgrades = []
+
+    def counting_upgrade(cfg):
+        upgrades.append(len(cfg.ts))
+        return geometry.upgrade_to_case23(cfg)
+
+    monkeypatch.setattr(trace, "upgrade_to_case23", counting_upgrade)
+    trace._case23_config.cache_clear()
+    for i, j in ((1, 2), (2, 3)):
+        simulate_bij_parabola(i, j, 4)
+    assert upgrades == [4]
+
+
 def test_parabola_failure_builds_once(monkeypatch):
     # b34 at n = 6 fails the word check; a retry with smaller offsets would
     # fail it again, so the builder gives up after its one trace
