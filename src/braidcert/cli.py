@@ -11,7 +11,8 @@ n >= 8 exit 3 at once.  So does `verify --suite relators` beyond n = 9,
 whose braid relators would run for minutes; `geometry --op growth` beyond
 n = 12 (n = 7 with --case23), whose last abscissa would not print in
 decimal; and `geometry --op order --case 2|3` beyond n = 7, whose case-2/3
-upgrade would run for seconds and more.
+upgrade would run for seconds and more.  `geometry` and `reduce --toy` exit 3
+with an empty stdout when a result has more than 4300 digits.
 """
 
 from __future__ import annotations
@@ -38,8 +39,17 @@ def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
 
 
 # Python's default limit on the decimal digits of an int it converts to or
-# from text; `geometry` refuses values, exponents and results beyond it.
+# from text; `geometry` refuses values, exponents and results beyond it, and
+# `reduce --toy` results.
 _DIGITS_MAX = 4300
+
+
+def _check_digits(numbers) -> None:
+    """Refuse a result that would not print: an int or Fraction with a
+    numerator or denominator of more than _DIGITS_MAX digits."""
+    limit = 10 ** _DIGITS_MAX
+    if any(abs(v.numerator) >= limit or v.denominator >= limit for v in numbers):
+        raise InvalidContext(f"a result has more than {_DIGITS_MAX} digits")
 
 
 def _rationals(text: str, count: int, message: str) -> list[Fraction]:
@@ -73,9 +83,12 @@ def cmd_reduce(args) -> int:
     if args.toy is not None:
         word = words.parse_toy_word(args.toy)
         normal = words.toy_normal_form(word)
+        feasible = words.toy_switch_feasible(word)
+        bound = words.toy_switch_lower_bound(word)
+        _check_digits([bound, *(exp for _, exp in normal)])
         print("reduced:", words.format_toy_word(normal) or "(empty)")
-        print("feasible:", "true" if words.toy_switch_feasible(word) else "false")
-        print("switch_lower_bound:", words.toy_switch_lower_bound(word))
+        print("feasible:", "true" if feasible else "false")
+        print("switch_lower_bound:", bound)
         return 0
     if args.gnk is not None:
         w = gnk.parse_gnk_word(args.gnk, args.n, args.k).reduced()
@@ -350,10 +363,7 @@ def cmd_geometry(args) -> int:
         cfg = _growth_sequence(args.n, case23=args.case != 1)
         order = geometry.crossing_order(cfg, args.j, args.case)
         lines = [("order", " ".join(f"({l},{m})" for l, m in order))]
-    limit = 10 ** _DIGITS_MAX
-    if any(abs(v.numerator) >= limit or v.denominator >= limit
-           for _, *vals in lines for v in vals if not isinstance(v, str)):
-        raise InvalidContext(f"a result has more than {_DIGITS_MAX} digits")
+    _check_digits(v for _, *vals in lines for v in vals if not isinstance(v, str))
     for label, *vals in lines:
         print(f"{label}:", ",".join(str(v) for v in vals))
     return 0

@@ -39,6 +39,13 @@ HWord = tuple[ZVec, ...]
 ActionState = tuple[ZVec, HWord]
 
 
+def block_values(k: int) -> tuple[ZVec, ...]:
+    """The values psi puts into a block, in (Z/2)^(k-1): e_i for the letter
+    missing the i-th index of m, and e_1+...+e_{k-1} for the one missing the
+    k-th.  They depend on k alone."""
+    return tuple(1 << i for i in range(k - 1)) + ((1 << (k - 1)) - 1,)
+
+
 @dataclass(frozen=True)
 class BaseChoice:
     """A fixed k-subset m of {1..n} together with its context."""
@@ -69,13 +76,13 @@ class BaseChoice:
     @cached_property
     def psi(self) -> dict[GeneratorIndex, ZVec]:
         """psi of every k-subset that shares k-1 indices with m, keyed by the
-        sorted letter; every other k-subset has psi = 0 and is left out."""
+        sorted letter: m - {m_i} + {p} takes the i-th of block_values(k),
+        shifted into block p.  Every other k-subset has psi = 0 and is left
+        out."""
         table: dict[GeneratorIndex, ZVec] = {}
         for p in self.outside:
-            for pos, missing in enumerate(self.m, start=1):
-                letter = tuple(sorted(set(self.m) - {missing} | {p}))
-                positions = (pos,) if pos < self.k else range(1, self.k)
-                table[letter] = sum(1 << self.bit(p, i) for i in positions)
+            for missing, v in zip(self.m, block_values(self.k)):
+                table[tuple(sorted(set(self.m) - {missing} | {p}))] = v << self.bit(p, 1)
         return table
 
 

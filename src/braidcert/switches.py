@@ -23,9 +23,12 @@ as e_1 .. e_(k-1) and their sum, which add up to 0.  Hence
     z_pq = 0                    for p, q outside m,
     z_ij = psi_i + psi_j        in every block, for i, j in m  (diagonal),
 
-psi_i the block value of the letter missing i.  The block-local vectors
-alone span Z, so every letter can be switched to every other, and the only
-obstruction to killing a word is odd length.
+psi_i the block value of the letter missing i (parity.block_values).  The
+block-local vectors alone span Z, so every letter can be switched to every
+other, and the only obstruction to killing a word is odd length.  The block
+values depend on k alone, and so do the span D of their pairwise xors and
+the two distance tables of the exact minimum: they are built once per k
+(_block_tables), not once per base.
 
 The projection bound counts letters per coset of the span Z0 of the
 diagonal vectors, and never enumerates Z.  Z0 is a copy of the span of the
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -55,6 +58,7 @@ from .parity import (
     HWord,
     ZVec,
     all_bases,
+    block_values,
     format_hword,
     format_zvec,
     phi,
@@ -103,12 +107,10 @@ class SwitchSystem:
 
     @cached_property
     def z0(self) -> tuple[ZVec, ...]:
-        """Every element of Z0, sorted."""
-        span = {0}
-        for i, j in combinations(self.base.m, 2):
-            z = z_pair(i, j, self.base)
-            span |= {s ^ z for s in span}
-        return tuple(sorted(span))
+        """Every element of Z0, sorted: each u of D repeated in every block."""
+        offsets = [self.base.bit(p, 1) for p in self.base.outside]
+        _, c_d = _block_tables(self.base.k)
+        return tuple(sorted({sum(u << off for off in offsets) for u in c_d}))
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], ZVec]:
@@ -164,12 +166,20 @@ def _word_lengths(gens: Iterable[ZVec]) -> dict[ZVec, int]:
         dist.update(layer)
 
 
-def _distance(sys: SwitchSystem, cap: int) -> Callable[[ZVec], int]:
-    """Cayley distance d(x) in Z, generated by the nonzero z_ij: the fewest
-    switches whose vectors sum to x, or cap + 1 if that exceeds ``cap``.
-    In closed form,
+@cache
+def _block_tables(k: int) -> tuple[dict[ZVec, int], dict[ZVec, int]]:
+    """(c_B, c_D): the Cayley distances in (Z/2)^(k-1) generated by the k
+    block values psi_i, and by their pairwise xors psi_i ^ psi_j, each over
+    the elements it reaches; the keys of c_D are D.  Built once per k."""
+    block = block_values(k)
+    return _word_lengths(block), _word_lengths(a ^ b for a, b in combinations(block, 2))
 
-        d(x) = min(cap + 1, min over u of c_D(u) + sum over p of c_B(x_p ^ u)),
+
+def _distance(sys: SwitchSystem) -> Callable[[ZVec], int]:
+    """Cayley distance d(x) in Z, generated by the nonzero z_ij: the fewest
+    switches whose vectors sum to x.  In closed form,
+
+        d(x) = min over u of c_D(u) + sum over p of c_B(x_p ^ u),
 
     x_p the block of x at p outside m, c_B the Cayley distance in (Z/2)^(k-1)
     generated by the k block values psi_i, and c_D the one generated by their
@@ -182,45 +192,36 @@ def _distance(sys: SwitchSystem, cap: int) -> Callable[[ZVec], int]:
     at each p, summing to x_p ^ u.  There are at least c_D(u) of the first
     kind and c_B(x_p ^ u) at each p, so d(x) is at least the minimum.  A
     shortest diagonal path to u plus a shortest path to x_p ^ u in each block
-    attains it.  The tables have at most 2^(k-1) entries; answers are cached
-    per x."""
+    attains it.  The tables have at most 2^(k-1) entries and are built once
+    per k (_block_tables); answers are cached per x."""
     base = sys.base
-    # each letter of psi has one index p outside m, and its value lies in block p
-    block = {v >> base.bit(p, 1) for letter, v in base.psi.items()
-             for p in letter if p not in base.m}
-    c_b = _word_lengths(block)
-    c_d = _word_lengths(a ^ b for a, b in combinations(block, 2)).items()
+    c_b, c_d = _block_tables(base.k)
     offsets = [base.bit(p, 1) for p in base.outside]
     mask = (1 << (base.k - 1)) - 1
-    cache: dict[ZVec, int] = {}
+    memo: dict[ZVec, int] = {}
 
     def d(x: ZVec) -> int:
-        if x not in cache:
+        if x not in memo:
             blocks = [x >> off & mask for off in offsets]
-            cache[x] = min(cap + 1, min(cu + sum(c_b[v ^ u] for v in blocks)
-                                        for u, cu in c_d))
-        return cache[x]
+            memo[x] = min(cu + sum(c_b[v ^ u] for v in blocks) for u, cu in c_d.items())
+        return memo[x]
 
     return d
 
 
-def _pairing_cost(w: HWord, d: Callable[[ZVec], int], cap: int
+def _pairing_cost(w: HWord, d: Callable[[ZVec], int]
                   ) -> tuple[int, dict[tuple[int, int], int]]:
     """Interval DP over the non-crossing perfect matchings of an even-length
     word: f(i, j) = min over k of d(w[i] ^ w[k]) + f(i+1, k) + f(k+1, j), the
-    least total distance of a matching of w[i:j].  Returns f(0, len(w)),
-    capped at cap + 1, and the first optimal partner k of i per interval."""
-    far = cap + 1
+    least total distance of a matching of w[i:j].  Returns f(0, len(w)) and
+    the first optimal partner k of i per interval."""
     f = {(i, i): 0 for i in range(len(w) + 1)}
     partner: dict[tuple[int, int], int] = {}
     for length in range(2, len(w) + 1, 2):
         for i in range(len(w) - length + 1):
             j = i + length
-            f[i, j] = far
-            for k in range(i + 1, j, 2):
-                c = d(w[i] ^ w[k]) + f[i + 1, k] + f[k + 1, j]
-                if c < f[i, j]:
-                    f[i, j], partner[i, j] = c, k
+            f[i, j], partner[i, j] = min((d(w[i] ^ w[k]) + f[i + 1, k] + f[k + 1, j], k)
+                                         for k in range(i + 1, j, 2))
     return f[0, len(w)], partner
 
 
@@ -242,7 +243,8 @@ def min_switches_witness(
     the least sum of d(x_a ^ x_b) over non-crossing perfect matchings of its
     letters, d the switch distance in Z (_distance).  An odd word has no
     perfect matching and is refused at once.  On an even word f is finite,
-    since the z_ij span Z; the budget only caps d and f at budget + 1.
+    since the z_ij span Z; the budget only decides whether the count is
+    reported.
 
     Soundness (f <= true minimum).  Follow the original letters through any
     switch sequence that ends in the empty word.  Each cancellation removes
@@ -272,8 +274,8 @@ def min_switches_witness(
         return 0, ()
     if budget == 0 or len(word) % 2:
         return None, None
-    d = _distance(sys, budget)
-    count, partner = _pairing_cost(word, d, budget)
+    d = _distance(sys)
+    count, partner = _pairing_cost(word, d)
     if count > budget:
         return None, None
     moves: list[tuple[int, int, int]] = []
@@ -285,7 +287,7 @@ def min_switches_witness(
         i, j = next(pair for pair, z in sys.pair_table if z and d(x ^ z) < d(x))
         moves.append((p, i, j))
         word = apply_switch(word, p, i, j, sys)
-        f, partner = _pairing_cost(word, d, left)
+        f, partner = _pairing_cost(word, d)
         assert f == left, f"switch replay left cost {f}, expected {left}"
     assert word == (), f"switch replay ended at {word}"
     return count, tuple(moves)

@@ -34,6 +34,19 @@ def test_reduce_toy(capsys):
     assert "switch_lower_bound: 5" in out
 
 
+E4300 = "9" * 4300  # the largest exponent Python prints: 4300 digits
+
+
+@pytest.mark.parametrize("word", [f"a^{E4300} a^{E4300}", f"a^{E4300} b a^{E4300}"])
+def test_reduce_toy_size_limit(capsys, word):
+    # the merged exponent 2E, and the lower bound E + 1, have 4301 digits:
+    # refused before any line is printed
+    code, out, err = run(capsys, "reduce", "--toy", word)
+    assert code == 3
+    assert out == ""
+    assert err == "error: a result has more than 4300 digits\n"
+
+
 def test_reduce_even(capsys):
     code, out, _ = run(capsys, "reduce", "--even", "a1 a2 a2 a1")
     assert code == 0

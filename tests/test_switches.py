@@ -115,7 +115,7 @@ def test_switch_vectors_are_block_local_or_diagonal():
 def test_min_switches_examples():
     assert min_switches((), SYS) == 0
     count, witness = min_switches_witness(phi(BETA, BASE), SYS, budget=6)
-    assert count == 2
+    assert (count, witness) == (2, ((0, 1, 4), (0, 1, 3)))
     # replaying the witness trivialises the word
     w = phi(BETA, BASE)
     for pos, i, j in witness:
@@ -297,7 +297,8 @@ def test_hard_word_minimum():
     y, sys = phi(map_pb_to_g3(w), base), switch_system(base)
     assert len(y) == 10
     assert min_switches(y, sys, 4) is None
-    assert min_switches(y, sys, 5) == 5
+    assert min_switches_witness(y, sys, 5) == (
+        5, ((0, 3, 4), (0, 3, 5), (0, 3, 5), (0, 3, 4), (0, 3, 5)))
 
 
 def test_feasibility_runs_once_per_context(monkeypatch):
@@ -319,12 +320,11 @@ def test_feasibility_runs_once_per_context(monkeypatch):
     assert len(cert.contexts) == 70
     assert calls["switch_feasibility_necessary"] == 70
     assert calls["apply_switch"] == 0
-    # budget 0 reads only Z0, so no pair table is built; Z0 itself is built
-    # only where a letter is keyed, from the C(k, 2) pairs inside the base
-    assert all(i in base.m and j in base.m for i, j, base in pairs_priced)
+    # budget 0 reads only Z0, so no pair table is built, and Z0 comes from
+    # the block values of k without pricing a single pair
+    assert pairs_priced == []
     keyed = [c for c in cert.contexts if c.pi_support]
     assert 0 < len(keyed) < 70
-    assert len(pairs_priced) == sum(c.k * (c.k - 1) // 2 for c in keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +373,7 @@ def seeded_bases(n, k, count, seed):
 
 ORACLE_SYSTEMS = [switch_system(base) for base in
                   [base for n in range(4, 8) for k in (3, 4) for base in all_bases(n, k)]
+                  + [base for n in range(4, 7) for base in all_bases(n, 2)]
                   + seeded_bases(8, 3, 3, 20) + seeded_bases(8, 4, 3, 21)
                   + seeded_bases(9, 3, 3, 22)]
 
@@ -398,10 +399,9 @@ def cayley_distances(sys):
 def test_distance_matches_cayley_bfs(sys):
     dist = cayley_distances(sys)
     assert len(dist) == 1 << sys.base.dim
-    for cap in range(9):
-        d = _distance(sys, cap)
-        for x in range(1 << sys.base.dim):
-            assert d(x) == min(dist.get(x, cap + 1), cap + 1), (x, cap)
+    d = _distance(sys)
+    for x in range(1 << sys.base.dim):
+        assert d(x) == dist[x], x
 
 
 @pytest.mark.parametrize("sys", ORACLE_SYSTEMS, ids=lambda s: f"n{s.base.n}m{''.join(map(str, s.base.m))}")
