@@ -31,6 +31,7 @@ from .parity import (
     format_zvec,
     is_even,
     phi,
+    phi_all_bases,
     phi_at,
     psi_letter,
     psi_word,

@@ -12,7 +12,8 @@ whose braid relators would run for minutes; `geometry --op growth` beyond
 n = 12 (n = 7 with --case23), whose last abscissa would not print in
 decimal; and `geometry --op order --case 2|3` beyond n = 7, whose case-2/3
 upgrade would run for seconds and more.  `geometry` and `reduce --toy` exit 3
-with an empty stdout when a result has more than 4300 digits.
+with an empty stdout when an input number or a result has more than 4300
+digits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import certificates, geometry, gnk, parity, pbraid, switches, trace, words
-from .errors import BraidCertError, InvalidContext, ParseError
+from .errors import BraidCertError, InvalidContext, NotEvenWord, ParseError
 
 
 def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
@@ -38,10 +39,9 @@ def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
     return parity.BaseChoice(n, k, m)
 
 
-# Python's default limit on the decimal digits of an int it converts to or
-# from text; `geometry` refuses values, exponents and results beyond it, and
-# `reduce --toy` results.
-_DIGITS_MAX = 4300
+# `geometry` refuses values, exponents and results beyond this many digits,
+# and `reduce --toy` exponents and results.
+_DIGITS_MAX = words.DIGITS_MAX
 
 
 def _check_digits(numbers) -> None:
@@ -150,14 +150,18 @@ def cmd_bounds(args) -> int:
 _RELATORS_MAX_N = 9
 
 
-def _same_phi(u: gnk.GnkWord, v: gnk.GnkWord, bases) -> bool:
-    """Whether ``u`` is even and has the parity image of ``v`` on every base.
-    Both suites build ``v`` even (the empty word, or an unreduced map image),
-    and ``psi`` vanishes on even words, so from the zero state both words
-    end in (0, their image): equal states mean equal images.  The evenness
-    of ``u`` is checked once, not once per base."""
-    return parity.is_even(u) and all(parity.phi_at(u, b) == parity.phi_at(v, b)
-                                     for b in bases)
+def _same_phi(u: gnk.GnkWord, v: gnk.GnkWord) -> bool:
+    """Whether ``u`` is even and has the parity image of ``v`` on every base
+    of their context.  Both suites build ``v`` even (the empty word, or an
+    unreduced map image), and ``psi`` vanishes on even words, so from the
+    zero state both words end in (0, their image): equal images mean equal
+    states.  Each word is walked once for all bases (parity.phi_all_bases),
+    which checks its evenness once."""
+    try:
+        images = parity.phi_all_bases(u)
+    except NotEvenWord:
+        return False
+    return images == parity.phi_all_bases(v)
 
 
 def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
@@ -183,16 +187,15 @@ def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
     """
     if n > _RELATORS_MAX_N:
         raise InvalidContext(f"the relators suite needs n <= {_RELATORS_MAX_N}, got {n}")
-    bases = parity.all_bases(n, k)
     one = gnk.GnkWord(n, k, ())
-    checks = [(f"group relator {idx} acts trivially", _same_phi(r, one, bases))
+    checks = [(f"group relator {idx} acts trivially", _same_phi(r, one))
               for idx, r in enumerate(gnk.relators(n, k))]
     mapper = pbraid.map_pb_to_g3 if k == 3 else pbraid.map_pb_to_g4
     for rel in pbraid.pb_relators(n):
         if rel.tag != "printed_vacuous":
             image = mapper(rel.left * rel.right.inverse())
             checks.append((f"braid relator {rel.left} = {rel.right} maps to 1",
-                           _same_phi(image, one, bases)))
+                           _same_phi(image, one)))
     return checks
 
 
@@ -262,7 +265,6 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
     # built first, so its n <= 7 limit stops the suite at once; reported last
     parabola_events = trace.simulate_bij_parabola(1, 2, n)[1] if n >= 4 else None
     checks: list[tuple[str, bool]] = []
-    bases = parity.all_bases(n, 3)
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             w = pbraid.PBWord(n, (pbraid.pb_letter(i, j),))
@@ -270,12 +272,12 @@ def _suite_tracer(n: int) -> list[tuple[str, bool]]:
             traced = trace.event_word(n, 3, events)
             image = pbraid.map_pb_to_g3(w, reduced=False)
             checks.append((f"circle trace of b{i}{j} matches the k=3 image",
-                           _same_phi(traced, image, bases)))
+                           _same_phi(traced, image)))
     if parabola_events is not None:
         traced = trace.event_word(n, 4, parabola_events)
         image = pbraid.map_pb_to_g4(pbraid.PBWord(n, (pbraid.pb_letter(1, 2),)), reduced=False)
         checks.append(("parabola trace of b12 matches the k=4 image",
-                       _same_phi(traced, image, parity.all_bases(n, 4))))
+                       _same_phi(traced, image)))
     return checks
 
 

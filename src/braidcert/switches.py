@@ -39,7 +39,9 @@ by coset costs at most 2^(k-1) xors per letter, whatever the 2^dim size of Z.
 
 Both certificates come from one pass (_contexts) over the (k, base) contexts
 of their reduced images: unknotting_report feeds it the k = 3 and k = 4
-images of a pure braid, gnk_report the single word it is given.
+images of a pure braid, gnk_report the single word it is given.  The parity
+images of every base come from one sparse pass over each word
+(parity.phi_all_bases).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .parity import (
     format_hword,
     format_zvec,
     phi,
+    phi_all_bases,
     # unused here, but kept as attributes of this module: per-layer tracing
     # (perfbench/spans.py) wraps switches.psi_letter and the two bounds
     psi_letter,  # noqa: F401
@@ -350,8 +353,7 @@ def _contexts(images: Sequence[GnkWord], budget: int
     contexts: list[ContextReport] = []
     longest: dict[int, int] = {}
     for image in images:
-        for base in all_bases(image.n, image.k):
-            y = phi(image, base)
+        for base, y in zip(all_bases(image.n, image.k), phi_all_bases(image)):
             longest[image.k] = max(longest.get(image.k, 0), len(y))
             contexts.append(_context_report(base, y, budget))
     return tuple(contexts), longest

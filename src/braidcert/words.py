@@ -18,12 +18,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Iterable, Sequence
 
-from .errors import ParseError
+from .errors import InvalidContext, ParseError
 
 Letter = Hashable
 Word = tuple
 
 TOY_GENERATORS = ("a", "b", "c")
+
+# Python's default limit on the decimal digits of an int it converts to or
+# from text; the command line refuses numbers beyond it, in input and output.
+DIGITS_MAX = 4300
 
 
 def reduce_involutive(letters: Iterable[Letter]) -> Word:
@@ -132,7 +136,9 @@ def format_inv_word(word: Iterable[Letter]) -> str:
 
 def parse_toy_word(text: str) -> ToyWord:
     """Tokens ``g^e`` with g in {a, b, c} and e a nonzero signed integer;
-    a bare ``g`` means ``g^1``."""
+    a bare ``g`` means ``g^1``.  An exponent of more than DIGITS_MAX digits
+    is refused as too large (InvalidContext) before int() fails on it with a
+    parse error that would quote the whole token."""
     syllables = []
     for token in text.split():
         gen, sep, exp_text = token.partition("^")
@@ -141,6 +147,8 @@ def parse_toy_word(text: str) -> ToyWord:
         if not sep:
             exp = 1
         else:
+            if sum(c.isdecimal() for c in exp_text) > DIGITS_MAX:
+                raise InvalidContext(f"a toy exponent has more than {DIGITS_MAX} digits")
             try:
                 exp = int(exp_text)
             except ValueError:

@@ -47,6 +47,21 @@ def test_reduce_toy_size_limit(capsys, word):
     assert err == "error: a result has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("word,code,err", [
+    # a well-formed exponent of more than 4300 digits is refused as too
+    # large, without quoting it; at 4300 digits it still parses
+    (f"a^9{E4300}", 3, "error: a toy exponent has more than 4300 digits\n"),
+    (f"b a^-{E4300}0", 3, "error: a toy exponent has more than 4300 digits\n"),
+    (f"a^{E4300}", 0, ""),
+    ("a^12x", 2, "parse error: bad toy exponent in 'a^12x'\n"),
+    ("a^", 2, "parse error: bad toy exponent in 'a^'\n"),
+], ids=["4301-digits", "4301-digits-negative", "4300-digits", "malformed", "missing"])
+def test_reduce_toy_exponent_limit(capsys, word, code, err):
+    got_code, out, got_err = run(capsys, "reduce", "--toy", word)
+    assert (got_code, got_err) == (code, err)
+    assert (out == "") == (code != 0)
+
+
 def test_reduce_even(capsys):
     code, out, _ = run(capsys, "reduce", "--even", "a1 a2 a2 a1")
     assert code == 0
@@ -241,10 +256,10 @@ def test_verify_tracer_rejects_another_image(capsys, monkeypatch):
     bases = parity.all_bases(n, 3)
     u, v = image(b12, reduced=False), image(b13, reduced=False)
     assert any(parity.phi(u, b) != parity.phi(v, b) for b in bases)
-    assert not cli._same_phi(u, v, bases) and cli._same_phi(u, u, bases)
+    assert not cli._same_phi(u, v) and cli._same_phi(u, u)
     # compared with itself, an odd word can only be refused for its parity
     odd = gnk.GnkWord(n, 3, u.letters + u.letters[:1])
-    assert not parity.is_even(odd) and not cli._same_phi(odd, odd, bases)
+    assert not parity.is_even(odd) and not cli._same_phi(odd, odd)
     monkeypatch.setattr(pbraid, "map_pb_to_g3", swapped)
     code, out, _ = run(capsys, "verify", "--suite", "tracer", "--n", str(n))
     assert code == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcert.errors import NotEvenWord
-from braidcert.gnk import GnkWord, parse_gnk_word, relators
+from braidcert.gnk import GnkWord, generators, parse_gnk_word, relators
 from braidcert.parity import (
     BaseChoice,
     act_letter,
@@ -14,7 +14,9 @@ from braidcert.parity import (
     format_zvec,
     is_even,
     parse_hword,
+    _incidence,
     phi,
+    phi_all_bases,
     phi_at,
     psi_letter,
     psi_word,
@@ -268,3 +270,55 @@ def test_phi_ignores_inserted_relators(w, data):
     padded = GnkWord(w.n, w.k, w.letters[:pos] + r.letters + w.letters[pos:])
     for base in bases_of(w.n, w.k):
         assert phi(padded, base) == phi(w, base)
+
+
+# ---------------------------------------------------------------------------
+# Every base in one pass, against phi one base at a time.
+
+ALL_BASES_CONTEXTS = [(n, k) for n in range(4, 9) for k in (3, 4)] + [(3, 3), (4, 4)]
+
+
+def commutator_words(n, k):
+    """Hypothesis strategy: u v u^-1 v^-1 for random words u, v of G_n^k,
+    even whatever u and v are."""
+    letters = st.lists(st.sampled_from(generators(n, k)), max_size=6)
+    return st.tuples(letters, letters).map(
+        lambda uv: GnkWord(n, k, tuple(uv[0] + uv[1] + uv[0][::-1] + uv[1][::-1])))
+
+
+def even_words(nk):
+    n, k = nk
+    if n > k:
+        return st.one_of(braid_images(n, k), commutator_words(n, k))
+    return commutator_words(n, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_BASES_CONTEXTS).flatmap(even_words))
+def test_phi_all_bases_matches_phi(w):
+    assert phi_all_bases(w) == tuple(phi(w, base) for base in bases_of(w.n, w.k))
+
+
+def test_phi_all_bases_rejects_odd_words_like_phi():
+    odd = GnkWord(5, 3, ((1, 2, 3), (2, 3, 4), (1, 2, 3)))
+    with pytest.raises(NotEvenWord) as per_base:
+        phi(odd, BaseChoice(5, 3, (1, 2, 3)))
+    with pytest.raises(NotEvenWord) as every_base:
+        phi_all_bases(odd)
+    assert str(every_base.value) == str(per_base.value)
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (5, 3), (6, 4), (8, 4), (9, 2)])
+def test_incidence_rows(n, k):
+    # every letter moves its own base and the k(n-k) bases sharing k-1 of its
+    # indices, and the table holds ints and letter tuples, no BaseChoice
+    bases = generators(n, k)
+    table = _incidence(n, k)
+    assert list(table) == bases
+    for letter, (own, touched) in table.items():
+        assert bases[own] == letter
+        assert len({own, *(b for b, _ in touched)}) == 1 + k * (n - k)
+        assert [bases[b] for b, _ in touched] == [
+            m for m in bases if len(set(m) & set(letter)) == k - 1]
+        assert all(psi_letter(letter, BaseChoice(n, k, bases[b])) == v for b, v in touched)
+        assert all(type(b) is int and type(v) is int for b, v in touched)

@@ -489,10 +489,11 @@ def test_unknotting_report_event_bounds_match_standalone():
             assert cert.quadrisecant_bound == quadrisecant_lower_bound(w)
 
 
-# The per-layer benchmark wraps these attributes of ``switches``; the reports
-# must look each one up in the module at call time, or the wrapper sees no call.
+# The per-layer benchmark wraps attributes of ``switches`` such as these; the
+# reports must look each one up in the module at call time, or a wrapper sees
+# no call.
 CONTRACT_ATTRS = ("switch_system", "c_max", "switch_feasibility_necessary",
-                  "min_switches_witness", "apply_switch", "phi",
+                  "min_switches_witness", "apply_switch", "phi_all_bases",
                   "map_pb_to_g3", "map_pb_to_g4")
 
 
