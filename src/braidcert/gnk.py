@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -28,7 +29,12 @@ def _check_context(n: int, k: int) -> None:
         raise InvalidContext(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
+@cache
 def _check_letter(m: GeneratorIndex, n: int, k: int) -> None:
+    """Raise InvalidContext unless m is a letter of the (n, k) group.  The
+    outcome is memoised per (m, n, k), so words the package builds from
+    letters it has already checked cost one lookup per letter; a rejection
+    raises, which the cache does not store, so it is re-checked every time."""
     if len(m) != k or any(m[t] >= m[t + 1] for t in range(k - 1)):
         raise InvalidContext(f"letter {m} is not a strictly increasing {k}-tuple")
     if m[0] < 1 or m[-1] > n:

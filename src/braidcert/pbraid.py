@@ -15,7 +15,9 @@ generators {i, j, x} with x running j+1..n then 1..j-1; for k = 4 the block
 factors into the three passing cases ordered by the tangent directions of
 the circles involved.  g4_c is the one copy of that order: the parabola
 builder expects it, and geometry.g4_word_geometric re-derives it from exact
-slopes for the tests.
+slopes for the tests.  The image of a word is the concatenation of its
+letters' images, so each generator's image is built once per (generator, n,
+k) and cached.
 
 For three strands there is also the sharper two-way translation between pure
 braids modulo the full twist and even words in three involutive letters
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidContext, InvalidPair, NotAGroupElement, ParseError
 from .gnk import GnkWord
@@ -186,21 +189,25 @@ def g4_c(i: int, j: int, n: int) -> GnkWord:
 # ---------------------------------------------------------------------------
 # The substitution: one conjugation pattern, the block chosen by k.
 
-def _letter_image(letter: PBLetter, n: int, block: Callable[[int, int, int], GnkWord]) -> tuple:
-    """Image of one braid letter, A c_ij c_ij A^-1 with the inverse blocks
-    A = c_{i,i+1}^-1 ... c_{i,j-1}^-1 on the approach; an inverse letter
-    gives the reversed word.  trace._motion_word_g4 passes A forward."""
-    i, j, _ = letter
+@cache
+def _generator_image(i: int, j: int, n: int, k: int) -> tuple[tuple, tuple]:
+    """Images of b_ij and of its inverse in the (n, k) group, as letter
+    tuples: A c_ij c_ij A^-1 with the inverse blocks A = c_{i,i+1}^-1 ...
+    c_{i,j-1}^-1 on the approach, and that word reversed.  Built once per
+    (i, j, n, k) from g3_c or g4_c.  trace._motion_word_g4 passes A forward."""
+    block = g3_c if k == 3 else g4_c
     approach = tuple(x for t in range(i + 1, j) for x in block(i, t, n).letters[::-1])
     cij = block(i, j, n).letters
     word = approach + cij + cij + approach[::-1]
-    return word if letter.sign > 0 else word[::-1]
+    return word, word[::-1]
 
 
-def _map(w: PBWord, k: int, block: Callable[[int, int, int], GnkWord], reduced: bool) -> GnkWord:
+def _map(w: PBWord, k: int, reduced: bool) -> GnkWord:
+    """Concatenate the images of the letters of w; each generator's image
+    is built once per (generator, n, k) by _generator_image."""
     letters: list = []
-    for letter in w:
-        letters.extend(_letter_image(letter, w.n, block))
+    for i, j, sign in w:
+        letters.extend(_generator_image(i, j, w.n, k)[sign < 0])
     out = tuple(letters)
     if reduced:
         out = reduce_involutive(out)
@@ -210,7 +217,7 @@ def _map(w: PBWord, k: int, block: Callable[[int, int, int], GnkWord], reduced: 
 def map_pb_to_g3(w: PBWord, *, reduced: bool = True) -> GnkWord:
     """Letterwise substitution into the k = 3 group; inverses map to reversed
     words since every generator is an involution."""
-    return _map(w, 3, g3_c, reduced)
+    return _map(w, 3, reduced)
 
 
 def map_pb_to_g4(w: PBWord, *, reduced: bool = True) -> GnkWord:
@@ -219,7 +226,7 @@ def map_pb_to_g4(w: PBWord, *, reduced: bool = True) -> GnkWord:
     the relation checks in the test suite pin this direction down."""
     if w.n < 4:
         raise InvalidContext(f"k = 4 map needs n >= 4, got {w.n}")
-    return _map(w, 4, g4_c, reduced)
+    return _map(w, 4, reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,7 @@ def _motion_word_g4(i: int, j: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Expected event word of the four-stage from-above motion in the blocks
     of pbraid.g4_c, A c_ij c_ij A^-1 with A = c_{i,i+1} ... c_{i,j-1} passed
     forward: stage 1 passes i+1 .. j, stage 2 passes again (j over the parked
-    i), stage 3 comes back.  The map (pbraid._letter_image) inverts A."""
+    i), stage 3 comes back.  The map (pbraid._generator_image) inverts A."""
     approach = tuple(x for u in range(i + 1, j) for x in g4_c(i, u, n).letters)
     cij = g4_c(i, j, n).letters
     return approach + cij + cij + approach[::-1]

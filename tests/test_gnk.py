@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from braidcert.errors import InvalidContext, InvalidPair, ParseError
 from braidcert.gnk import (
     GnkWord,
+    _check_letter,
     c_full,
     far_commutes,
     format_gnk_word,
     generators,
+    parse_gnk_letter,
     parse_gnk_word,
     relators,
 )
@@ -103,6 +106,44 @@ def test_word_validation():
         GnkWord(4, 3, ((1, 2, 5),))
     with pytest.raises(InvalidContext):
         GnkWord(4, 3, ((2, 1, 3),))
+
+
+@pytest.mark.parametrize("letter", [(1, 2), (1, 2, 3, 4), (2, 1, 3), (1, 1, 2),
+                                    (0, 1, 2), (1, 2, 5)])
+def test_rejection_repeats_on_every_attempt(letter):
+    """Validation is memoised, but a rejection is not: the second attempt
+    raises the message of the first, through the constructor and the parser."""
+    _check_letter.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvalidContext) as exc:
+            GnkWord(4, 3, (letter,))
+        messages.append(str(exc.value))
+    token = "a{" + ",".join(map(str, letter)) + "}"
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            parse_gnk_letter(token, 4, 3)
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+
+
+def test_accepted_letter_is_rechecked_per_context():
+    assert GnkWord(9, 3, ((1, 2, 9),)).letters == ((1, 2, 9),)
+    assert parse_gnk_letter("a129", 9, 3) == (1, 2, 9)
+    with pytest.raises(InvalidContext, match="out of range 1..5"):
+        GnkWord(5, 3, ((1, 2, 9),))
+    with pytest.raises(ParseError, match="out of range 1..5"):
+        parse_gnk_letter("a129", 5, 3)
+    with pytest.raises(InvalidContext):
+        GnkWord(9, 4, ((1, 2, 9),))
+
+
+def test_wide_context_builds_without_enumerating_generators():
+    letter = tuple(range(1, 31))
+    start = time.perf_counter()
+    w = GnkWord(60, 30, (letter, letter))
+    assert time.perf_counter() - start < 1
+    assert w.reduced().letters == ()
 
 
 def test_word_algebra():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcert.errors import InvalidContext, NotAGroupElement, ParseError
+from braidcert.gnk import GnkWord
 from braidcert.parity import all_bases, is_even, phi, psi_word
 from braidcert.pbraid import (
     PBWord,
+    _generator_image,
     even_to_pb3,
     format_pb_word,
     g3_c,
@@ -186,6 +188,56 @@ def test_unreduced_maps_are_letterwise(words):
         image_v = mapper(v, reduced=False).letters
         assert mapper(u * v, reduced=False).letters == image_u + image_v
         assert mapper(u.inverse(), reduced=False).letters == image_u[::-1]
+
+
+# ---------------------------------------------------------------------------
+# The per-generator image cache, against the formula built from the blocks.
+
+def formula_image(i, j, n, k):
+    """A c_ij c_ij A^-1 with A = c_{i,i+1}^-1 ... c_{i,j-1}^-1, multiplied
+    out as GnkWords."""
+    block = g3_c if k == 3 else g4_c
+    approach = GnkWord(n, k, ())
+    for t in range(i + 1, j):
+        approach = approach * block(i, t, n).inverse()
+    cij = block(i, j, n)
+    return (approach * cij * cij * approach.inverse()).letters
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_generator_images_match_formula(k):
+    mapper = map_pb_to_g3 if k == 3 else map_pb_to_g4
+    for n in range(k, 10):
+        for i, j in combinations(range(1, n + 1), 2):
+            expected = formula_image(i, j, n, k)
+            assert _generator_image(i, j, n, k) == (expected, expected[::-1])
+            for sign in (1, -1):
+                image = mapper(PBWord(n, (pb_letter(i, j, sign),)), reduced=False)
+                assert image.letters == (expected if sign > 0 else expected[::-1])
+
+
+def test_generator_image_cache_keys_on_n_and_k():
+    _generator_image.cache_clear()
+    b12 = pb_letter(1, 2)
+    seen = {}
+    for n in (4, 5):
+        for k, mapper in ((3, map_pb_to_g3), (4, map_pb_to_g4)):
+            image = mapper(PBWord(n, (b12,)), reduced=False)
+            assert image.letters == formula_image(1, 2, n, k)
+            seen[n, k] = image.letters
+    assert len(set(seen.values())) == 4
+
+
+def test_maps_unchanged_by_cache_clear():
+    rng = random.Random(23)
+    words = [random_pb_word(rng, n, length)
+             for n in (4, 5, 6, 7) for length in (0, 1, 3, 8)]
+    before = [(map_pb_to_g3(w), map_pb_to_g4(w), map_pb_to_g4(w, reduced=False))
+              for w in words]
+    _generator_image.cache_clear()
+    after = [(map_pb_to_g3(w), map_pb_to_g4(w), map_pb_to_g4(w, reduced=False))
+             for w in words]
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
