@@ -141,7 +141,6 @@ class ParabolaConfig:
 
 # Largest n whose growth sequence prints in decimal (at most 4300 digits in
 # Python): t_13 has 8191 digits, t_8 after the case-2/3 upgrade about 5700.
-# The parabola motions share the case-2/3 limit.
 _CASE1_MAX_N = 12
 _CASE23_MAX_N = 7
 

@@ -43,19 +43,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cmp_to_key
 from itertools import combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
-from .geometry import (
-    _CASE23_MAX_N,
-    ParabolaConfig,
-    circle_through,
-    growth_sequence_case1,
-    upgrade_to_case23,
-)
+from .geometry import ParabolaConfig, circle_through, growth_sequence_case1
 from .gnk import GnkWord
 from .pbraid import PBWord, g4_c, map_pb_to_g3, pb_letter
 from .roots import (
@@ -365,6 +359,12 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
 # ---------------------------------------------------------------------------
 # Parabola motions (k = 4).
 
+# Largest n of the parabola motions.  At n = 8 the coordinates still print
+# (t_8 has 255 digits), but 12 of the 28 generators fail the letter-exact
+# word check, each by reordering far-commuting letters; the other 16 build
+# in 14-19 s in total.
+_PARABOLA_MAX_N = 7
+
 def _parabola_pt(t: Fraction, h: Fraction = Fraction(0)) -> Point:
     return (t, t * t + h)
 
@@ -434,43 +434,32 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
     configuration, returned with its concyclicity events (the trace that
     validated it).
 
-    The abscissas come from the canonical growth sequence, upgraded until the
-    case-2/3 growth condition holds, so the crossing orders are frozen.  The
-    build splits its corridors where they cross a static circle; the one
-    check of the finished motion is its concyclicity trace, which must
-    reproduce _motion_word_g4 letter for letter.  It builds once: a corridor
-    that cannot be cleared, a trace degeneracy or a different traced word
-    raises NonGenericTrajectory.  A retry with smaller offsets cannot help:
-    the growth conditions freeze the order in which the mover meets the
-    circles, and halving the offsets changed the outcome of no generator
-    at n = 4..7.
+    The abscissas are the growth sequence t_1 = 1, t_u = 100 t_{u-1}^2 as
+    it is.  The build splits its corridors where they cross a static circle;
+    the one check of the finished motion is its concyclicity trace, which
+    must reproduce _motion_word_g4 letter for letter.  It builds once: a
+    corridor that cannot be cleared, a trace degeneracy or a different
+    traced word raises NonGenericTrajectory.  At n = 4..7, 42 of the 52
+    generators build; the other 10 trace the expected letters with some
+    far-commuting ones reordered, which the letter-exact check rejects.
 
     For j > i+1 the motion realises the conjugate P b_ij P^-1 with
     P = b_{i,i+1} ... b_{i,j-1}: its reduced word is map_pb_to_g4 of that
     conjugate, which can differ from the image of b_ij (b13 at n = 5).
 
-    n is limited to 4..7: from n = 8 on the growth sequence makes the build
-    take close to a minute and the coordinates outgrow the decimal integers
-    that trajectory_to_json can write.
+    n is limited to 4..7: at n = 8 the coordinates still print, but 12 of
+    the 28 generators fail the letter-exact check in the same way.
     """
     if n < 4:
         raise InvalidContext(f"parabola motions need n >= 4, got {n}")
-    if n > _CASE23_MAX_N:
-        raise InvalidContext(f"parabola motions need n <= {_CASE23_MAX_N}, got {n}")
+    if n > _PARABOLA_MAX_N:
+        raise InvalidContext(f"parabola motions need n <= {_PARABOLA_MAX_N}, got {n}")
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    cfg = _case23_config(n)
+    cfg = growth_sequence_case1(n)
     return _validated_motion(
         "parabola", i, j, 4, lambda: _build_parabola_trajectory(i, j, n, cfg),
         _motion_word_g4(i, j, n))
-
-
-@cache
-def _case23_config(n: int) -> ParabolaConfig:
-    """Abscissas of the n-point parabola motions: the growth sequence
-    upgraded to the case-2/3 condition.  They depend on n alone, and the
-    upgrade is over a third of a b12 build at n = 7, so it runs once per n."""
-    return upgrade_to_case23(growth_sequence_case1(n))
 
 
 def _build_parabola_trajectory(i: int, j: int, n: int, cfg: ParabolaConfig) -> Trajectory:

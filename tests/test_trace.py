@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -592,20 +592,41 @@ def test_parabola_builder_sorts_no_slopes(monkeypatch):
         assert traced.letters == _motion_word_g4(i, j, n)
 
 
-def test_parabola_abscissas_upgrade_once_per_n(monkeypatch):
-    # the case-2/3 abscissas depend on n alone, so two builds at one n
-    # upgrade the growth sequence once
-    upgrades = []
+def test_parabola_builder_never_upgrades(monkeypatch):
+    # the trace certifies each motion, so the points sit on the plain growth
+    # sequence and no case-2/3 growth condition is checked or enforced
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parabola builder used the case-2/3 growth condition")
 
-    def counting_upgrade(cfg):
-        upgrades.append(len(cfg.ts))
-        return geometry.upgrade_to_case23(cfg)
+    monkeypatch.setattr(geometry, "upgrade_to_case23", refuse)
+    monkeypatch.setattr(geometry, "check_growth_case23", refuse)
+    for i, j, n in ((1, 2, 4), (2, 3, 4), (1, 5, 6)):
+        traj, events = simulate_bij_parabola(i, j, n)
+        assert event_word(n, 4, events).letters == _motion_word_g4(i, j, n)
+        homes = [path[0][1][0] for path in traj.paths]
+        assert homes == list(geometry.growth_sequence_case1(n).ts)
 
-    monkeypatch.setattr(trace, "upgrade_to_case23", counting_upgrade)
-    trace._case23_config.cache_clear()
-    for i, j in ((1, 2), (2, 3)):
-        simulate_bij_parabola(i, j, 4)
-    assert upgrades == [4]
+
+# generators whose traced word reorders far-commuting letters of the
+# expected one, which the letter-exact check rejects
+_PARABOLA_FAILURES = {
+    6: {(1, 4), (2, 4), (3, 4)},
+    7: {(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)},
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_parabola_build_set(n):
+    # 42 of the 52 generators at n = 4..7 build; the other 10 fail the check
+    failed = set()
+    for i, j in combinations(range(1, n + 1), 2):
+        try:
+            simulate_bij_parabola(i, j, n)
+        except NonGenericTrajectory as exc:
+            assert str(exc) == (f"could not build a generic parabola motion for b_{i}{j}: "
+                                "traced word disagrees with the crossing orders")
+            failed.add((i, j))
+    assert failed == _PARABOLA_FAILURES.get(n, set())
 
 
 def test_parabola_failure_builds_once(monkeypatch):
