@@ -34,23 +34,23 @@ CORPUS = [
     ("circle", 5, 3, 4, "6b0ca7988a4b23b4c86ec29ca5312d0a3bbadc324b2b5ba223a48f26ada1ccbc"),
     ("circle", 5, 3, 5, "19f514ac1404dcebf9dd27f5b665d3342c53a86473e75e6e9cdf7844b2b7d803"),
     ("circle", 5, 4, 5, "08da8be2ec09d60d41b171c687041b69c4685f75a587f99c3ad2cd244c5d9033"),
-    ("parabola", 4, 1, 2, "fb1ddea27bbc6b2430bb75cda4b424c3b6218d280b93da5047cd17b9926e1555"),
-    ("parabola", 4, 1, 3, "635c6097ca296b6fc4687b6d552315550e88344be892d4944f283cc022240c1c"),
-    ("parabola", 4, 1, 4, "8fe8c8e22b4f0892f5c9a5e6e50cc806433f223c42a148cd60faf2262ba84a55"),
-    ("parabola", 4, 2, 3, "eae8628f2a4bfc48cadd41e9d8d9ee8a6c4c8eca75b34dfe6970b096ba938011"),
-    ("parabola", 4, 2, 4, "af0f2fa75614588f44972b5bd419611f16b8fa79ac27eee078ed9ab5fa180bf1"),
-    ("parabola", 4, 3, 4, "0b803c1d8e099a640df0d358e519b5c9c9c02c9cea28b2b9751376156d36972a"),
-    ("parabola", 5, 1, 2, "ca47d6deb3f7ebd6d9037d54a975943d37b22a398110f8ce6af4e64db1ffb623"),
-    ("parabola", 5, 1, 3, "4fbd0d15b8e1e5af453f70356a0ae0bda8680411ffd4c89fee98a07998f9adfa"),
-    ("parabola", 5, 1, 4, "b12835e225627b7f08bd4258feb139e2edc396ef5056739be787e800291c2a13"),
-    ("parabola", 5, 1, 5, "ed285a5f9df7cf67af5148873337fc1f17da7f5861be87c8b285c13e0ff8c90d"),
-    ("parabola", 5, 2, 3, "de1fe66fd198fe3c32c63d58582ed35aaaaa7fa117ab9ede6b34a2857ffe2770"),
-    ("parabola", 5, 2, 4, "258c6b22acee448f7a15f4709956ebd1ff626aa253bf708bb0e7121b85b6dca0"),
-    ("parabola", 5, 2, 5, "21b44de91e709c6ea34d7a4cb41e57e9cedc9925203741a2a396b2ffbaee42df"),
-    ("parabola", 5, 3, 4, "fcee00c4a577c6df58be32676c3118abaebf0ceff9e77e469791e0dfe1725864"),
-    ("parabola", 5, 3, 5, "0a45c04657f7ec10c1b4fa3fb80771f064539825399080c7f6eb64792842099c"),
-    ("parabola", 5, 4, 5, "48948fd4d52c619aea8ff1af5504fb1f6a9124f2e311a2cf4a040d0e220113a0"),
-    ("parabola", 6, 1, 5, "2b4b1f59a44adc15ac12b96b86cb36b2d178d1bba211705e0e7b79af48875972"),
+    ("parabola", 4, 1, 2, "23508ed2bf708afa0fd50c3e76f3ce56aadb1d5434b3a0046029102de8b3e0bd"),
+    ("parabola", 4, 1, 3, "dfd93659cf079ccc6cde22255b0bf764ce45c8009960e47fb0c21168271b2ddb"),
+    ("parabola", 4, 1, 4, "1361db1d85086a31f0437dd29950f1bf100213f188f100d7d8c014322b5529b4"),
+    ("parabola", 4, 2, 3, "ff05d6d93ecb16cdbbcecccf72a356b76f45f1a87cdf128a9e74f344d7722fbf"),
+    ("parabola", 4, 2, 4, "2398485eab12382cc69181d798f639da575b2cc6fa2afddc5a31402131f86d41"),
+    ("parabola", 4, 3, 4, "8c68ae22ef3ae8db6da5372053175c31deb32f1f8e0cede0501b104c6a0f6d39"),
+    ("parabola", 5, 1, 2, "28e743120977bec1c9a9b8af1cf23b93a2cb1e246d9fb793e106101599533767"),
+    ("parabola", 5, 1, 3, "8a0c5abd6256e8b9ec566f3c54e8db73cce8d13280548354c8a3fcb2dd43608e"),
+    ("parabola", 5, 1, 4, "c4f75bd2631e29e9c6c5d86b6d4bbed99912e4d85e7d0ae52fe4875956501791"),
+    ("parabola", 5, 1, 5, "79effdb65e8fb433ae6cab4aa6790aa55088a475c88fc5554a798a1474763364"),
+    ("parabola", 5, 2, 3, "86275ae51de0187eca28302efd33234bf81e0d5347014bcf175a3503869eb604"),
+    ("parabola", 5, 2, 4, "943753bb690ba4704d3d213c456eba7bebbb95461e4e449a42c625c86685a890"),
+    ("parabola", 5, 2, 5, "e15abf0e93da7ad15d4a9a75acb2fe9e7ad61ee96fab25efe05eff9212ca6191"),
+    ("parabola", 5, 3, 4, "75eb87ed19d82923e82079a5beb641b12b9c7b35f3994a0b3e5dd21a69a85084"),
+    ("parabola", 5, 3, 5, "055e1dbbcd81011a343d8eb8475dcaeb4f71031b9f168cc4403e437e3cabc311"),
+    ("parabola", 5, 4, 5, "1d5340dd51d70316201cbbccaff12981231bfa59c726f7b0a36a9d8a10a9fed0"),
+    ("parabola", 6, 1, 5, "d136c52714368d4b949b3072a57ab1bb96619c2572f69e23ad8ee821d04c73ef"),
 ]
 
 
