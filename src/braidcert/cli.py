@@ -6,9 +6,10 @@ JSON keys, no timestamps); randomized verification suites take --seed.
 
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation or an unwritable output path.  Parabola motions are limited to
-n <= 7, so `simulate --kind parabola` and `verify --suite tracer` with
-n >= 8 exit 3 at once.  So does `verify --suite relators` beyond n = 9,
-whose braid relators would run for minutes; `geometry --op growth` beyond
+n <= 7 (at n = 8, 12 of the 28 generators fail the letter-exact word
+check), so `simulate --kind parabola` and `verify --suite tracer` with
+n >= 8 exit 3 at once.  So does `verify --suite relators` beyond n = 9, a
+bound on its run time (4 s at n = 10, k = 4); `geometry --op growth` beyond
 n = 12 (n = 7 with --case23), whose last abscissa would not print in
 decimal; and `geometry --op order --case 2|3` beyond n = 7, whose case-2/3
 upgrade would run for seconds and more.  `geometry` and `reduce --toy` exit 3
@@ -188,8 +189,10 @@ def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
     For an even word, as every relator and its image is, X = psi(w) = 0, so
     the check is ``phi(w) == ()``.
 
-    Beyond n = 9 the suite is refused before any relator is built: the
-    braid relators alone take 20 s at n = 10, k = 3, and minutes at k = 4.
+    Beyond n = 9 the suite is refused before any relator is built.  The
+    limit bounds the run time, which grows with the number of checks:
+    lifted, the whole suite took 1.1 s at n = 10, k = 3 (6870 checks),
+    4.2 s at n = 10, k = 4 (20547 checks) and 1.5 s at n = 11, k = 3.
     """
     if n > _RELATORS_MAX_N:
         raise InvalidContext(f"the relators suite needs n <= {_RELATORS_MAX_N}, got {n}")

@@ -1,19 +1,28 @@
 """Crossing-switch moves on parity words and unknotting lower bounds.
 
-A crossing change between strands i and j inserts a full twist, whose parity
-image replaces a cancelling pair f_x f_x by f_x f_{x+z_ij}; equivalently, one
-switch replaces a single letter f_x of the image word by f_{x+z_ij}.  Here
+One switch replaces a single letter f_x of a parity image word by
+f_{x+z_ij}, where
 
     z_ij = xor of psi over the k-subsets containing {i, j} that share k-1
            indices with the base m
 
-depends only on i, j and m.  The minimal number of switches needed to kill
-the image word is therefore a lower bound for the unknotting number of the
-braid; this module computes it exactly by an interval DP over the
-non-crossing matchings of the image's letters (min_switches_witness): O(L^3)
-steps for an image of length L, each pair priced by a closed-form switch
-distance (_distance).  Next to it sits the cheaper projection bound through
-the group algebra Z/2[Z].
+depends only on i, j and m.  The minimal number f of switches that kill the
+image word bounds from below the number of crossing changes that unknot the
+braid.  A crossing change multiplies the braid by a PB_n-conjugate of some
+b_ab^{+-1} (change of coordinates for arcs; Farb & Margalit, A Primer on
+Mapping Class Groups, 2012), so it inserts a conjugate g T^{+-1} g^-1 into
+the image, T the image of b_ab on m.  T is empty unless a and b are both in
+m, and otherwise f_u f_{u^z} or, at k = 4 only, f_v f_u f_{u^z} f_v, with
+z = z_ab != 0, so f(T) = 1 (the tests check this shape on every generator
+and base for n <= 9).  f is the same on a word and on its free reduction,
+and g c g^-1 dies with f(c) switches, so one crossing change moves f by at
+most 1, and the trivial braid has f = 0.
+
+This module computes f exactly by an interval DP over the non-crossing
+matchings of the image's letters (min_switches_witness): O(L^3) steps for
+an image of length L, each pair priced by a closed-form switch distance
+(_distance).  Next to it sits the cheaper projection bound through the
+group algebra Z/2[Z].
 
 The switch vectors have a fixed shape.  Z splits into one block (Z/2)^(k-1)
 per index p outside m, and psi puts the k letters m - {i} + {p} into block p

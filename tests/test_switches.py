@@ -1,12 +1,13 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcert.certificates import input_hash, persist
 from braidcert.gnk import GnkWord, c_full, parse_gnk_word, relators
-from braidcert.parity import BaseChoice, all_bases, phi
+from braidcert.parity import BaseChoice, all_bases, phi, phi_all_bases
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
 from braidcert.switches import (
     _distance,
@@ -217,6 +218,29 @@ def test_full_twist_insertion_inserts_switch_pair():
         else:
             # the inserted block contains no base letter, so the image is unchanged
             assert y2 == y
+
+
+@pytest.mark.parametrize("k", (3, 4))
+def test_generator_images_cost_one_switch(k):
+    # the crossing-change argument of the switches module docstring: on a
+    # base m the image of b_ab is empty unless a, b are in m, and otherwise
+    # f_u f_{u^z}, or f_v f_u f_{u^z} f_v at k = 4 only, with z = z_ab != 0;
+    # one switch kills each nonempty image
+    mapper = map_pb_to_g3 if k == 3 else map_pb_to_g4
+    for n in range(k + 1, 10):
+        bases = all_bases(n, k)
+        for a, b in combinations(range(1, n + 1), 2):
+            images = phi_all_bases(mapper(PBWord(n, (pb_letter(a, b),))))
+            for base, y in zip(bases, images):
+                if not {a, b} <= set(base.m):
+                    assert y == ()
+                    continue
+                z = z_pair(a, b, base)
+                assert z != 0
+                core = y[1:3] if len(y) == 4 else y
+                assert len(y) == 2 or (k == 4 and len(y) == 4 and y[0] == y[3])
+                assert len(core) == 2 and core[1] == core[0] ^ z
+                assert min_switches(y, switch_system(base), budget=1) == 1
 
 
 def test_min_switches_at_least_rough_bound():
