@@ -362,8 +362,9 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
 # Largest n of the parabola motions.  At n = 8 the coordinates still print
 # (t_8 has 255 digits), but 12 of the 28 generators fail the letter-exact
 # word check, each by reordering far-commuting letters; the other 16 build
-# in 14-19 s in total.
+# in 14-19 s in total (shared 2-vCPU x86 machine, CPython 3.11).
 _PARABOLA_MAX_N = 7
+
 
 def _parabola_pt(t: Fraction, h: Fraction = Fraction(0)) -> Point:
     return (t, t * t + h)
@@ -441,7 +442,10 @@ def simulate_bij_parabola(i: int, j: int, n: int) -> tuple[Trajectory, list[Seca
     corridor that cannot be cleared, a trace degeneracy or a different
     traced word raises NonGenericTrajectory.  At n = 4..7, 42 of the 52
     generators build; the other 10 trace the expected letters with some
-    far-commuting ones reordered, which the letter-exact check rejects.
+    far-commuting ones reordered, which the letter-exact check rejects.  A
+    retry with smaller offsets cannot help: halving eta, the hop widths and
+    heights and the parking gap changed the outcome and the traced word of
+    no generator at n = 4..7.
 
     For j > i+1 the motion realises the conjugate P b_ij P^-1 with
     P = b_{i,i+1} ... b_{i,j-1}: its reduced word is map_pb_to_g4 of that

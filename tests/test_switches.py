@@ -237,9 +237,9 @@ def test_generator_images_cost_one_switch(k):
                     continue
                 z = z_pair(a, b, base)
                 assert z != 0
-                core = y[1:3] if len(y) == 4 else y
                 assert len(y) == 2 or (k == 4 and len(y) == 4 and y[0] == y[3])
-                assert len(core) == 2 and core[1] == core[0] ^ z
+                u, uz = y[1:3] if len(y) == 4 else y
+                assert uz == u ^ z
                 assert min_switches(y, switch_system(base), budget=1) == 1
 
 
