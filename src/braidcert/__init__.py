@@ -33,6 +33,7 @@ from .parity import (
     phi,
     phi_all_bases,
     phi_at,
+    phi_pb_all_bases,
     psi_letter,
     psi_word,
     quadrisecant_lower_bound,

@@ -31,7 +31,9 @@ with l (it adds psi(a_l) to x there), and fixes the state of every other
 base: there psi(a_l) = 0, since psi is zero on the k-subsets that share
 fewer than k-1 indices with the base.  So the pass visits 1 + k(n-k)
 bases per letter, 17 of 70 at n = 8, k = 4, read off a table built once per
-(n, k) (_incidence).
+(n, k) (_incidence).  The image of a pure braid on every base does not even
+need that pass over the whole mapped word: phi_pb_all_bases concatenates
+the per-base images of its letters, each built once per (generator, n, k).
 """
 
 from __future__ import annotations
@@ -39,14 +41,24 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Sequence
 
 from .errors import InvalidContext, NotEvenWord
 from .gnk import GeneratorIndex, GnkWord, generators
-from .pbraid import PBWord, map_pb_to_g3, map_pb_to_g4
+from .pbraid import (
+    PBWord,
+    _generator_image,
+    # unused here, but kept as attributes of this module: per-layer tracing
+    # (perfbench/spans.py) wraps parity.map_pb_to_g3 and parity.map_pb_to_g4
+    map_pb_to_g3,  # noqa: F401
+    map_pb_to_g4,  # noqa: F401
+)
 
 ZVec = int
 HWord = tuple[ZVec, ...]
 ActionState = tuple[ZVec, HWord]
+# per letter: the index of its own base, and (index, psi value) per base it moves
+Incidence = dict[GeneratorIndex, tuple[int, tuple[tuple[int, ZVec], ...]]]
 
 
 def block_values(k: int) -> tuple[ZVec, ...]:
@@ -96,8 +108,15 @@ class BaseChoice:
         return table
 
 
+@cache
+def _bases(n: int, k: int) -> tuple[BaseChoice, ...]:
+    return tuple(BaseChoice(n, k, m) for m in generators(n, k))
+
+
 def all_bases(n: int, k: int) -> list[BaseChoice]:
-    return [BaseChoice(n, k, m) for m in generators(n, k)]
+    """Every base of the (n, k) group, in generators(n, k) order: a new list
+    each call, of BaseChoice objects built once per (n, k)."""
+    return list(_bases(n, k))
 
 
 def psi_letter(letter: GeneratorIndex, base: BaseChoice) -> ZVec:
@@ -152,17 +171,23 @@ def phi(w: GnkWord, base: BaseChoice) -> HWord:
 
 
 @cache
-def _incidence(n: int, k: int
-               ) -> dict[GeneratorIndex, tuple[int, tuple[tuple[int, ZVec], ...]]]:
+def _incidence(n: int, k: int) -> Incidence:
     """For each letter of the (n, k) group: the index of its own base in
     all_bases(n, k), and the (index, psi value) of every base it shares k-1
-    indices with.  Only ints and letter tuples are kept, not the BaseChoice
-    objects read while building it, so the table stays small."""
+    indices with.  The rows come from the subset arithmetic of
+    BaseChoice.psi, without a BaseChoice per base: on base m, the letter
+    m - {m_i} + {p} takes the i-th of block_values(k), shifted to block p at
+    bit (rank of p outside m) * (k-1).  Only ints and letter tuples are
+    kept, so the table stays small."""
     bases = generators(n, k)
+    values = block_values(k)
     touched: dict[GeneratorIndex, list[tuple[int, ZVec]]] = {m: [] for m in bases}
     for b, m in enumerate(bases):
-        for letter, v in BaseChoice(n, k, m).psi.items():
-            touched[letter].append((b, v))
+        outside = [p for p in range(1, n + 1) if p not in m]
+        for t, v in enumerate(values):
+            rest = m[:t] + m[t + 1:]
+            for rank, p in enumerate(outside):
+                touched[tuple(sorted(rest + (p,)))].append((b, v << rank * (k - 1)))
     return {m: (b, tuple(touched[m])) for b, m in enumerate(bases)}
 
 
@@ -180,10 +205,15 @@ def phi_all_bases(w: GnkWord) -> tuple[HWord, ...]:
     and since a_l is not m either, act_letter leaves m's state as it is.
     Skipping those bases changes no state, so each image equals phi's."""
     _require_even(w)
-    table = _incidence(w.n, w.k)
+    return tuple(tuple(reversed(y)) for y in _sparse_pass(w.letters, _incidence(w.n, w.k)))
+
+
+def _sparse_pass(letters: Sequence[GeneratorIndex], table: Incidence) -> list[list[ZVec]]:
+    """The y of every base after acting by the letters, rightmost first, on
+    the states (0, ()), each y reversed (phi_all_bases)."""
     xs = [0] * len(table)
     ys: list[list[ZVec]] = [[] for _ in table]
-    for letter in reversed(w.letters):
+    for letter in reversed(letters):
         own, touched = table[letter]
         x, y = xs[own], ys[own]
         if y and y[-1] == x:
@@ -192,14 +222,67 @@ def phi_all_bases(w: GnkWord) -> tuple[HWord, ...]:
             y.append(x)
         for b, v in touched:
             xs[b] ^= v
-    return tuple(tuple(reversed(y)) for y in ys)
+    return ys
+
+
+@cache
+def _generator_phi(i: int, j: int, n: int, k: int) -> tuple[tuple[int, HWord], ...]:
+    """(index in all_bases(n, k), T_m(b_ij)) for every base m that contains
+    both i and j, with T_m(b_ij) = phi(map(b_ij), m) read off the cached
+    letters of map(b_ij) (pbraid._generator_image) by one sparse pass.  On
+    every other base T_m(b_ij) is empty (phi_pb_all_bases), so it is not
+    kept.  Built once per (i, j, n, k)."""
+    table = _incidence(n, k)
+    ys = _sparse_pass(_generator_image(i, j, n, k)[0], table)
+    return tuple((b, tuple(reversed(ys[b]))) for b, m in enumerate(table)
+                 if i in m and j in m)
+
+
+def phi_pb_all_bases(w: PBWord, k: int) -> tuple[HWord, ...]:
+    """phi(map(w), base) for every base, in all_bases(w.n, k) order, for a
+    pure braid word w and its k = 3 or k = 4 image map(w) (map_pb_to_g3,
+    map_pb_to_g4), built from the images of its letters alone.
+
+    Lemma.  phi(map(w), m) is the free reduction of T_m(l_1)^e_1 ...
+    T_m(l_r)^e_r over the letters l_t^e_t of w, where T_m(b_ab) =
+    phi(map(b_ab), m) and T_m(b_ab)^-1 is that word reversed.  Moreover
+    T_m(b_ab) is empty unless a and b are both in m.
+
+    Proof.  map(b_ab) is A c c A^-1 with c = c_ab, and map(b_ab^-1) is its
+    reverse.  Every letter occurs in it an even number of times, so psi of
+    it is 0, and its action takes a state (0, y) to (0, T y): the letters
+    f_x it prepends depend on x alone, and x is back to 0 at the end.  So
+    the images of the letters of w concatenate, from the state (0, ()) that
+    phi starts in, and the reversed image of an inverse letter acts by the
+    inverse T^-1, the reversed word, since every f_x is an involution.
+    Every letter of c_ab contains a and b (g3_c, g4_c_components).  If a
+    or b is not in m, no letter of c_ab is m, so each letter of c_ab only
+    adds its psi to x: c_ab acts on base m as a translation of x, c c as the
+    identity, and A c c A^-1 as the identity too, so T_m(b_ab) is empty.
+
+    So base m sees only the letters with both strands in m, and
+    _generator_phi keeps T_m(b_ab) on those bases only, at most C(n-2, k-2)
+    per generator, each built once per (a, b, n, k).  The tests compare
+    this function with phi_all_bases(map(w)) on every base."""
+    if k not in (3, 4) or w.n < k:
+        raise InvalidContext(f"pure braid images need k in (3, 4) and n >= k, got n={w.n}, k={k}")
+    ys: list[list[ZVec]] = [[] for _ in _incidence(w.n, k)]
+    for i, j, sign in w:
+        for b, t in _generator_phi(i, j, w.n, k):
+            y = ys[b]
+            for x in t if sign > 0 else reversed(t):
+                if y and y[-1] == x:
+                    y.pop()
+                else:
+                    y.append(x)
+    return tuple(map(tuple, ys))
 
 
 # ---------------------------------------------------------------------------
 # Event-count lower bounds for braids.
 
-def _event_lower_bound(image: GnkWord) -> int:
-    return max(map(len, phi_all_bases(image)), default=0)
+def _event_lower_bound(w: PBWord, k: int) -> int:
+    return max(map(len, phi_pb_all_bases(w, k)), default=0)
 
 
 def trisecant_lower_bound(w: PBWord) -> int:
@@ -208,7 +291,7 @@ def trisecant_lower_bound(w: PBWord) -> int:
     trisecants."""
     if w.n < 3:
         return 0
-    return _event_lower_bound(map_pb_to_g3(w))
+    return _event_lower_bound(w, 3)
 
 
 def quadrisecant_lower_bound(w: PBWord) -> int:
@@ -216,7 +299,7 @@ def quadrisecant_lower_bound(w: PBWord) -> int:
     n > 4: at n = 4 the parity group Z is trivial and the images collapse."""
     if w.n < 4:
         return 0
-    return _event_lower_bound(map_pb_to_g4(w))
+    return _event_lower_bound(w, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +307,9 @@ def quadrisecant_lower_bound(w: PBWord) -> int:
 # (p ascending over indices outside m, then e_1 .. e_{k-1} within each p).
 
 def format_zvec(x: ZVec, base: BaseChoice) -> str:
-    return "".join("1" if x >> b & 1 else "0" for b in range(base.dim))
+    """Bit b of x as the b-th character; the empty string when dim = 0."""
+    dim = base.dim
+    return format(x, f"0{dim}b")[::-1] if dim else ""
 
 
 def format_hword(y: HWord, base: BaseChoice) -> str:

@@ -47,10 +47,17 @@ its least element, min(x ^ s for s in Z0).  Counting the letters of a word
 by coset costs at most 2^(k-1) xors per letter, whatever the 2^dim size of Z.
 
 Both certificates come from one pass (_contexts) over the (k, base) contexts
-of their reduced images: unknotting_report feeds it the k = 3 and k = 4
-images of a pure braid, gnk_report the single word it is given.  The parity
-images of every base come from one sparse pass over each word
-(parity.phi_all_bases).
+of their parity images: unknotting_report feeds it the k = 3 and k = 4
+images of a pure braid, concatenated from the per-base images of its
+letters (parity.phi_pb_all_bases), and gnk_report the images of the single
+word it is given, from one sparse pass over it (parity.phi_all_bases).
+
+Per-base work is done once per process.  The bases of each (n, k) are
+built once (parity.all_bases), and switch_system builds one system per
+base, so its pair table, its Z0 and its switch distances, each derived on
+first use, serve every later context on that base.  The interval DP of the
+exact minimum runs on flat arrays, with each pair of letters priced once
+(_pairing_cost).
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ from .parity import (
     format_zvec,
     phi,
     phi_all_bases,
+    phi_pb_all_bases,
     # unused here, but kept as attributes of this module: per-layer tracing
     # (perfbench/spans.py) wraps switches.psi_letter and the two bounds
     psi_letter,  # noqa: F401
@@ -118,11 +126,20 @@ class SwitchSystem:
                      for i, j in combinations(range(1, self.base.n + 1), 2))
 
     @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """The lowest bit of each block, p ascending over the indices outside m."""
+        return tuple(self.base.bit(p, 1) for p in self.base.outside)
+
+    @cached_property
     def z0(self) -> tuple[ZVec, ...]:
         """Every element of Z0, sorted: each u of D repeated in every block."""
-        offsets = [self.base.bit(p, 1) for p in self.base.outside]
         _, c_d = _block_tables(self.base.k)
-        return tuple(sorted({sum(u << off for off in offsets) for u in c_d}))
+        return tuple(sorted({sum(u << off for off in self.offsets) for u in c_d}))
+
+    @cached_property
+    def distances(self) -> dict[ZVec, int]:
+        """The switch distance d(x) of every x priced so far (_distance)."""
+        return {}
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], ZVec]:
@@ -141,7 +158,11 @@ class SwitchSystem:
         return min(x ^ s for s in self.z0)
 
 
+@cache
 def switch_system(base: BaseChoice) -> SwitchSystem:
+    """The system of a base, built once per base: its pair table, Z0 and
+    switch distances, each derived on first use, last as long as the
+    process."""
     return SwitchSystem(base)
 
 
@@ -205,12 +226,12 @@ def _distance(sys: SwitchSystem) -> Callable[[ZVec], int]:
     kind and c_B(x_p ^ u) at each p, so d(x) is at least the minimum.  A
     shortest diagonal path to u plus a shortest path to x_p ^ u in each block
     attains it.  The tables have at most 2^(k-1) entries and are built once
-    per k (_block_tables); answers are cached per x."""
-    base = sys.base
-    c_b, c_d = _block_tables(base.k)
-    offsets = [base.bit(p, 1) for p in base.outside]
-    mask = (1 << (base.k - 1)) - 1
-    memo: dict[ZVec, int] = {}
+    per k (_block_tables); answers are kept per x in sys.distances, so they
+    last as long as the system."""
+    c_b, c_d = _block_tables(sys.base.k)
+    offsets = sys.offsets
+    mask = (1 << (sys.base.k - 1)) - 1
+    memo = sys.distances
 
     def d(x: ZVec) -> int:
         if x not in memo:
@@ -226,15 +247,32 @@ def _pairing_cost(w: HWord, d: Callable[[ZVec], int]
     """Interval DP over the non-crossing perfect matchings of an even-length
     word: f(i, j) = min over k of d(w[i] ^ w[k]) + f(i+1, k) + f(k+1, j), the
     least total distance of a matching of w[i:j].  Returns f(0, len(w)) and
-    the first optimal partner k of i per interval."""
-    f = {(i, i): 0 for i in range(len(w) + 1)}
+    the least optimal partner k of i per interval.
+
+    It runs on flat arrays, lists of lists indexed by position: each pair of
+    letters is priced once, in dist[i][k], and the candidates k of an
+    interval are scanned in increasing order, a later one kept only when it
+    is strictly cheaper."""
+    size = len(w)
+    dist = [[0] * size for _ in range(size)]
+    for i, x in enumerate(w):
+        row = dist[i]
+        for k in range(i + 1, size, 2):
+            row[k] = d(x ^ w[k])
+    f = [[0] * (size + 1) for _ in range(size + 1)]
     partner: dict[tuple[int, int], int] = {}
-    for length in range(2, len(w) + 1, 2):
-        for i in range(len(w) - length + 1):
+    for length in range(2, size + 1, 2):
+        for i in range(size - length + 1):
             j = i + length
-            f[i, j], partner[i, j] = min((d(w[i] ^ w[k]) + f[i + 1, k] + f[k + 1, j], k)
-                                         for k in range(i + 1, j, 2))
-    return f[0, len(w)], partner
+            di, inner = dist[i], f[i + 1]
+            best, arg = di[i + 1] + f[i + 2][j], i + 1
+            for k in range(i + 3, j, 2):
+                cost = di[k] + inner[k] + f[k + 1][j]
+                if cost < best:
+                    best, arg = cost, k
+            f[i][j] = best
+            partner[i, j] = arg
+    return f[0][size], partner
 
 
 def min_switches(w: HWord, sys: SwitchSystem, budget: int = 6) -> int | None:
@@ -353,17 +391,17 @@ def _context_report(base: BaseChoice, y: HWord, budget: int) -> ContextReport:
     )
 
 
-def _contexts(images: Sequence[GnkWord], budget: int
+def _contexts(n: int, images: Sequence[tuple[int, tuple[HWord, ...]]], budget: int
               ) -> tuple[tuple[ContextReport, ...], dict[int, int]]:
-    """One pass over every (k, base) context of the reduced images, one image
-    per k: the context reports, and the length of the longest parity image
-    per k.  The budget is checked once, before any context."""
-    _check_budget(budget)
+    """One pass over every (k, base) context, given per k the parity images
+    of every base in all_bases(n, k) order: the context reports, and the
+    length of the longest parity image per k.  The reports check the budget
+    once, before any parity image is computed."""
     contexts: list[ContextReport] = []
     longest: dict[int, int] = {}
-    for image in images:
-        for base, y in zip(all_bases(image.n, image.k), phi_all_bases(image)):
-            longest[image.k] = max(longest.get(image.k, 0), len(y))
+    for k, ys in images:
+        for base, y in zip(all_bases(n, k), ys):
+            longest[k] = max(longest.get(k, 0), len(y))
             contexts.append(_context_report(base, y, budget))
     return tuple(contexts), longest
 
@@ -373,9 +411,13 @@ def unknotting_report(w: PBWord, budget: int = 6) -> Certificate:
     bound plus (within budget) the exact minimal switch count, and the best
     resulting lower bound for the unknotting number.  The trisecant and
     quadrisecant bounds are the longest parity images of the same pass, as
-    in trisecant_lower_bound and quadrisecant_lower_bound."""
+    in trisecant_lower_bound and quadrisecant_lower_bound.  The parity images
+    come from the braid's letters (parity.phi_pb_all_bases); the images
+    field prints the mapped words."""
     images = [mapper(w) for k, mapper in ((3, map_pb_to_g3), (4, map_pb_to_g4)) if w.n >= k]
-    contexts, longest = _contexts(images, budget)
+    _check_budget(budget)
+    contexts, longest = _contexts(
+        w.n, [(image.k, phi_pb_all_bases(w, image.k)) for image in images], budget)
     return Certificate(
         input_word=format_pb_word(w),
         input_kind="pb",
@@ -391,7 +433,8 @@ def unknotting_report(w: PBWord, budget: int = 6) -> Certificate:
 def gnk_report(w: GnkWord, budget: int = 6) -> Certificate:
     """Certificate for an even word given directly in one (n, k) group."""
     reduced = w.reduced()
-    contexts, _ = _contexts([reduced], budget)
+    _check_budget(budget)
+    contexts, _ = _contexts(w.n, [(w.k, phi_all_bases(reduced))], budget)
     return Certificate(
         input_word=format_gnk_word(w),
         input_kind="gnk",

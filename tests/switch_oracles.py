@@ -3,9 +3,13 @@
 ``bfs_min_switches_witness`` is the breadth-first search over reduced words
 that ``switches.min_switches_witness`` replaced: exponential in the budget,
 but it tries every switch at every position, so it needs no argument about
-matchings.  The span helpers enumerate a subspace element by element from
-its generators: ``z0_span`` and ``full_span`` read the switch vectors of
-the pair table, not the library's own Z0, so they check it independently."""
+matchings.  ``dict_pairing_cost`` is the interval DP of
+``switches._pairing_cost`` as it was first written, on a dict keyed by
+intervals with one ``min`` over ``(cost, k)`` per cell, so the least optimal
+partner wins ties.  The span helpers enumerate a subspace element by element
+from its generators: ``z0_span`` and ``full_span`` read the switch vectors
+of the pair table, not the library's own Z0, so they check it
+independently."""
 
 from braidcert.switches import apply_switch, switch_feasibility_necessary
 from braidcert.words import reduce_involutive
@@ -70,3 +74,17 @@ def c_z_count(xi, z, sys):
     """Number of nonzero coefficients of xi in the coset z + Z0 (Z0 spanned
     by the switch vectors of pairs inside m), by enumerating Z0."""
     return sum(1 for z0 in z0_span(sys) if (z ^ z0) in xi)
+
+
+def dict_pairing_cost(w, d):
+    """f(0, len(w)) of the interval DP f(i, j) = min over k of
+    d(w[i] ^ w[k]) + f(i+1, k) + f(k+1, j), and the least optimal partner k
+    of i per interval."""
+    f = {(i, i): 0 for i in range(len(w) + 1)}
+    partner = {}
+    for length in range(2, len(w) + 1, 2):
+        for i in range(len(w) - length + 1):
+            j = i + length
+            f[i, j], partner[i, j] = min((d(w[i] ^ w[k]) + f[i + 1, k] + f[k + 1, j], k)
+                                         for k in range(i + 1, j, 2))
+    return f[0, len(w)], partner

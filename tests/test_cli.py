@@ -136,6 +136,20 @@ def test_bounds_worked_example(tmp_path, capsys):
     assert json.loads(files[0].read_text()) == cert
 
 
+def test_bounds_at_n_equals_k(tmp_path, capsys):
+    # n = k: the parity group Z has dimension 0 and the one base is the group
+    code, out, _ = run(capsys, "bounds", "a123 a123", "--n", "3", "--k", "3", "--gnk",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    context = {"base_m": [1, 2, 3], "feasible_necessary": True, "k": 3, "min_switches": 0,
+               "phi_image": "", "pi_support": [], "rough_bound": 0}
+    assert out == json.dumps({
+        "best_bound": 0, "best_context": {"base_m": [1, 2, 3], "k": 3}, "budget": 6,
+        "contexts": [context], "images": {"3": ""}, "input_kind": "gnk",
+        "input_word": "a123 a123", "n": 3, "quadrisecant_bound": None,
+        "tool_version": "0.1.0", "trisecant_bound": None}, indent=2) + "\n"
+
+
 def test_bounds_deterministic_bytes(tmp_path, capsys):
     word = "b13 B23"
     runs = []

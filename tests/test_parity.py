@@ -4,7 +4,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcert.errors import NotEvenWord
+from braidcert.errors import InvalidContext, NotEvenWord
 from braidcert.gnk import GnkWord, generators, parse_gnk_word, relators
 from braidcert.parity import (
     BaseChoice,
@@ -18,12 +18,13 @@ from braidcert.parity import (
     phi,
     phi_all_bases,
     phi_at,
+    phi_pb_all_bases,
     psi_letter,
     psi_word,
     quadrisecant_lower_bound,
     trisecant_lower_bound,
 )
-from braidcert.pbraid import map_pb_to_g3, map_pb_to_g4, parse_pb_word
+from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word
 from braidcert.words import reduce_involutive
 
 from test_pbraid import signed_pb_words
@@ -227,6 +228,19 @@ def test_hword_formatting_round_trip():
     assert format_zvec(E1 | E2, BASE) == "11"
 
 
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (4, 3), (5, 3), (6, 4), (9, 4), (12, 4)])
+def test_zvec_formatting_round_trip(n, k):
+    base = all_bases(n, k)[-1]
+    dim = base.dim
+    rng = random.Random(100 * n + k)
+    xs = [0, (1 << dim) - 1] + [rng.randrange(1 << dim) for _ in range(20)]
+    for x in xs:
+        assert format_zvec(x, base) == "".join("1" if x >> b & 1 else "0" for b in range(dim))
+    assert parse_hword(format_hword(tuple(xs), base), base) == tuple(xs)
+    if dim == 0:
+        assert format_hword((0,), base) == "f[]"
+
+
 def test_trivial_parity_group_at_n_equals_k():
     base = BaseChoice(4, 4, (1, 2, 3, 4))
     assert base.dim == 0
@@ -322,3 +336,40 @@ def test_incidence_rows(n, k):
             m for m in bases if len(set(m) & set(letter)) == k - 1]
         assert all(psi_letter(letter, BaseChoice(n, k, bases[b])) == v for b, v in touched)
         assert all(type(b) is int and type(v) is int for b, v in touched)
+
+
+# ---------------------------------------------------------------------------
+# Images of pure braids from the images of their letters, against one pass
+# over the whole mapped word.
+
+PB_CONTEXTS = [(n, k) for n in range(3, 9) for k in (3, 4) if n >= k]
+
+
+def repeating_pb_words(n):
+    """Hypothesis strategy: random pure braid words, and words u v v^-1 u u,
+    in which every letter repeats and some meet their inverses."""
+    doubled = st.tuples(signed_pb_words(n, 4), signed_pb_words(n, 3)).map(
+        lambda uv: uv[0] * uv[1] * uv[1].inverse() * uv[0] * uv[0])
+    return st.one_of(signed_pb_words(n, 8), doubled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PB_CONTEXTS).flatmap(
+    lambda nk: st.tuples(st.just(nk[1]), repeating_pb_words(nk[0]))))
+def test_phi_pb_all_bases_matches_the_mapped_word(case):
+    k, w = case
+    mapper = map_pb_to_g3 if k == 3 else map_pb_to_g4
+    assert phi_pb_all_bases(w, k) == phi_all_bases(mapper(w))
+
+
+@pytest.mark.parametrize("n,k", PB_CONTEXTS)
+def test_phi_pb_all_bases_of_the_empty_word(n, k):
+    empty = PBWord(n, ())
+    mapper = map_pb_to_g3 if k == 3 else map_pb_to_g4
+    assert phi_pb_all_bases(empty, k) == phi_all_bases(mapper(empty)) == ((),) * len(all_bases(n, k))
+
+
+def test_phi_pb_all_bases_needs_k_3_or_4_and_n_at_least_k():
+    for w, k in ((PBWord(5, ()), 2), (PBWord(5, ()), 5), (PBWord(3, ()), 4)):
+        with pytest.raises(InvalidContext):
+            phi_pb_all_bases(w, k)

@@ -11,6 +11,7 @@ from braidcert.parity import BaseChoice, all_bases, phi, phi_all_bases
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
 from braidcert.switches import (
     _distance,
+    _pairing_cost,
     apply_switch,
     c_max,
     gnk_report,
@@ -27,6 +28,7 @@ from braidcert.words import reduce_involutive
 from switch_oracles import (
     bfs_min_switches_witness,
     c_z_count,
+    dict_pairing_cost,
     full_span,
     span_by_enumeration,
     z0_span,
@@ -449,6 +451,37 @@ def test_echelon_keys_match_span_enumeration(sys):
         assert switch_feasibility_necessary(w + w[::-1], sys)
 
 
+DP_SYSTEMS = [sys for sys in ORACLE_SYSTEMS if sys.base.k in (3, 4) and sys.base.n <= 7]
+
+
+@st.composite
+def dp_cases(draw):
+    """A switch system and an even word of length <= 24 over at most four
+    letters of its Z, so that equal costs, and hence ties, are common."""
+    sys = draw(st.sampled_from(DP_SYSTEMS))
+    pool = draw(st.lists(st.integers(0, (1 << sys.base.dim) - 1), min_size=1, max_size=4))
+    size = 2 * draw(st.integers(0, 12))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))), sys
+
+
+@settings(max_examples=300, deadline=None)
+@given(dp_cases())
+def test_flat_pairing_cost_matches_dict_reference(case):
+    w, sys = case
+    d = _distance(sys)
+    assert _pairing_cost(w, d) == dict_pairing_cost(w, d)
+
+
+def test_flat_pairing_cost_breaks_ties_by_least_partner():
+    d = _distance(SYS)
+    # on (x x x x) partners 1 and 3 of position 0 both cost 0, and on
+    # (x y x y) both cost 2 d(x ^ y)
+    for w in ((E1,) * 4, (E1, E2, E1, E2)):
+        assert _pairing_cost(w, d) == dict_pairing_cost(w, d)
+        assert _pairing_cost(w, d)[1][0, 4] == 1
+    assert _pairing_cost((E1,) * 4, d) == (0, {(0, 2): 1, (1, 3): 2, (2, 4): 3, (0, 4): 1})
+
+
 def test_c_max_wide_base():
     # n = 12, k = 4: dim = 24, so a pass over all of Z would take hours
     sys = switch_system(BaseChoice(12, 4, (2, 5, 7, 11)))
@@ -518,7 +551,7 @@ def test_unknotting_report_event_bounds_match_standalone():
 # no call.
 CONTRACT_ATTRS = ("switch_system", "c_max", "switch_feasibility_necessary",
                   "min_switches_witness", "apply_switch", "phi_all_bases",
-                  "map_pb_to_g3", "map_pb_to_g4")
+                  "phi_pb_all_bases", "map_pb_to_g3", "map_pb_to_g4")
 
 
 def count_contract_calls(monkeypatch):
@@ -540,10 +573,11 @@ def count_contract_calls(monkeypatch):
 def test_reports_call_through_module_attributes(monkeypatch):
     calls = count_contract_calls(monkeypatch)
     unknotting_report(parse_pb_word("b13 B23", 5), budget=2)
-    assert [name for name, c in calls.items() if c == 0] == []
+    assert [name for name, c in calls.items() if c == 0] == ["phi_all_bases"]
     calls = count_contract_calls(monkeypatch)
     gnk_report(BETA, budget=6)
-    assert [name for name, c in calls.items() if c == 0] == ["map_pb_to_g3", "map_pb_to_g4"]
+    assert [name for name, c in calls.items() if c == 0] == [
+        "phi_pb_all_bases", "map_pb_to_g3", "map_pb_to_g4"]
 
 
 def test_certificate_serialization_round_trip(tmp_path):
