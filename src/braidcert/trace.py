@@ -2,20 +2,23 @@
 
 A trajectory assigns each of n points a closed polygonal path over the common
 time interval [0, 1], all breakpoints rational.  The tracers scan every time
-slab (between consecutive breakpoints of any point) and every 3- or 4-point
-tuple.  One determinant gives both events: in coordinates relative to the
-last point of the tuple, the rows (dx, dy) for collinearity and
-(dx, dy, dx^2+dy^2) for concyclicity (zero also for four collinear points,
-i.e. a circle through infinity, which counts as an event).  Per slab every
-position is first multiplied by the common denominator L of the slab's
-linear coordinates: scaling the plane by L > 0 moves no collinearity,
-concyclicity or collision and multiplies each determinant by a positive
-power of L, so no sign changes, and the determinant is a polynomial in t
-with integer coefficients.  One genericity check serves it
-and the squared distance of every point pair: a polynomial that vanishes on
-the whole slab, at a slab end, or at a repeated root inside the slab (a
-tangency, or for a pair a collision) raises NonGenericTrajectory naming the
-tuple and slab.  The roots of the squarefree part are isolated exactly
+slab (between consecutive breakpoints of any point): the first slab checks
+every pair and every 3- or 4-point tuple, a later one only those that hold
+a point moving in it, since the others stay what they were, and nonzero, at
+the end of the slab before.  One determinant gives both events: in
+coordinates relative to the last point of the tuple, the rows (dx, dy) for
+collinearity and (dx, dy, dx^2+dy^2) for concyclicity (zero also for four
+collinear points, i.e. a circle through infinity, which counts as an
+event); with a single moving point it is expanded along that point's row
+instead.  Per slab every position is first multiplied by the common
+denominator L of the slab's linear coordinates: scaling the plane by L > 0
+moves no collinearity, concyclicity or collision and multiplies each
+determinant by a positive power of L, so no sign changes, and the
+determinant is a polynomial in t with integer coefficients.  One
+genericity check serves it and the squared distance of every point pair: a
+polynomial that vanishes on the whole slab, at a slab end, or at a repeated
+root inside the slab (a tangency, or for a pair a collision) raises
+NonGenericTrajectory naming the tuple and slab.  The roots of the squarefree part are isolated exactly
 (Sturm chains), events are sorted by exact algebraic-number comparison, and
 simultaneous events are rejected the same way.
 
@@ -155,7 +158,7 @@ def _det(rows: list[list[Poly]]) -> Poly:
 def _event_poly(ps: list[tuple[Poly, Poly]]) -> Poly:
     """Event determinant of k = 3 or 4 moving points, in coordinates relative
     to the last one: rows (dx, dy) for collinearity, (dx, dy, dx^2+dy^2) for
-    concyclicity.  Equals +-det [x y 1] and +-det [x y x^2+y^2 1]."""
+    concyclicity.  Equals det [x y 1] and det [x y x^2+y^2 1], sign included."""
     *rest, (xl, yl) = ps
     rows = []
     for x, y in rest:
@@ -165,6 +168,38 @@ def _event_poly(ps: list[tuple[Poly, Poly]]) -> Poly:
             row.append(poly_add(poly_mul(dx, dx), poly_mul(dy, dy)))
         rows.append(row)
     return _det(rows)
+
+
+def _one_mover_poly(ps: list[tuple[Poly, Poly]], r: int) -> Poly:
+    """_event_poly of k = 3 or 4 points of which only ps[r] moves: degree
+    <= 1 at k = 3, <= 2 at k = 4.  It expands det [x y 1] or
+    det [x y x^2+y^2 1] (rows in tuple order) along row r, whose cofactors
+    are integers of the static rows.  Subtracting the last static row c from
+    the other static rows changes no cofactor, so those of the x, y (and
+    x^2+y^2) columns are the signed minors of the differences, and the
+    determinant is their sum against (entry - c's entry).  _event_poly is
+    the same determinant, sign included: it subtracts the last row from the
+    others, expands along the ones column (sign +) and, at k = 4, subtracts
+    2 x_l and 2 y_l times the first two columns from the third.  So both
+    give the identical polynomial."""
+    (x0, x1), (y0, y1) = ((q + (0, 0))[:2] for q in ps[r])
+    row = [(x0, x1, 0), (y0, y1, 0),
+           (x0 * x0 + y0 * y0, 2 * (x0 * x1 + y0 * y1), x1 * x1 + y1 * y1)][:len(ps) - 1]
+    static = []
+    for x, y in ps[:r] + ps[r + 1:]:
+        x, y = (x or (0,))[0], (y or (0,))[0]
+        static.append((x, y, x * x + y * y)[:len(row)])
+    *others, last = static
+    diffs = [[u - v for u, v in zip(a, last)] for a in others]
+    if len(diffs) == 1:
+        (ax, ay), = diffs
+        cof = (ay, -ax)
+    else:
+        (ax, ay, aw), (bx, by, bw) = diffs
+        cof = (ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
+    sign = -1 if r % 2 else 1
+    return poly([sign * sum(c * (e[0] - v) for c, e, v in zip(cof, row, last))]
+                + [sign * sum(c * e[t] for c, e in zip(cof, row)) for t in (1, 2)])
 
 
 def _generic_part(p: Poly, who: tuple[int, ...], t0: Fraction, t1: Fraction,
@@ -188,15 +223,33 @@ def _generic_part(p: Poly, who: tuple[int, ...], t0: Fraction, t1: Fraction,
 
 
 def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
-    """All generic degeneracy events of the trajectory, sorted by exact time."""
+    """All generic degeneracy events of the trajectory, sorted by exact time.
+
+    The first slab checks every pair and k-tuple.  A later slab checks only
+    those that hold a point moving in it (a position polynomial of degree
+    >= 1), in the same combinations order, so the first degeneracy raised is
+    the one a scan of every tuple raises.  Lemma (continuity): positions are
+    continuous in time, so a pair or tuple with no moving point in a slab
+    keeps, as a constant, the value its polynomial had at the end of the
+    slab before; the two slabs' common denominators scale that value by a
+    positive factor, which changes no sign.  There it was found nonzero: by
+    the slab-end check if it was checked in that slab, else, being constant
+    there too, by the same argument one slab earlier, down to the first
+    slab.  So it has no event and no degeneracy in this slab.  When a later
+    slab has a single moving point, its tuples' polynomials come from
+    _one_mover_poly, which equals _event_poly."""
     if k not in (3, 4):
         raise InvalidContext(f"events are defined for k in {{3, 4}}, got {k}")
     if traj.n < k:
         raise InvalidContext(f"need at least {k} points, got {traj.n}")
     kind = "trisecant" if k == 3 else "concyclic"
     events: list[SecantEvent] = []
-    for t0, t1, coeffs in _slabs(traj):
-        for pair in combinations(range(1, traj.n + 1), 2):
+    points = range(1, traj.n + 1)
+    for s, (t0, t1, coeffs) in enumerate(_slabs(traj)):
+        movers = {p for p in points if s == 0 or max(map(len, coeffs[p - 1])) > 1}
+        for pair in combinations(points, 2):
+            if movers.isdisjoint(pair):
+                continue
             # every real root of dx^2 + dy^2 is a double root: a collision
             (x1, y1), (x2, y2) = (coeffs[p - 1] for p in pair)
             dx, dy = poly_sub(x1, x2), poly_sub(y1, y2)
@@ -204,8 +257,13 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
                           "two points coincide throughout a slab",
                           "two points coincide at a slab boundary",
                           "two points collide")
-        for tup in combinations(range(1, traj.n + 1), k):
-            sf = _generic_part(_event_poly([coeffs[p - 1] for p in tup]), tup, t0, t1,
+        mover = next(iter(movers)) if s and len(movers) == 1 else None
+        for tup in combinations(points, k):
+            if movers.isdisjoint(tup):
+                continue
+            ps = [coeffs[p - 1] for p in tup]
+            det = _one_mover_poly(ps, tup.index(mover)) if mover else _event_poly(ps)
+            sf = _generic_part(det, tup, t0, t1,
                                f"{kind} holds on a whole slab",
                                f"{kind} at a slab boundary",
                                f"tangential {kind}")

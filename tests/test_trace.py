@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -39,6 +40,7 @@ from braidcert.trace import (
 )
 
 from test_trace_digests import CORPUS as DIGEST_CORPUS
+from trace_oracles import full_scan_trace_events
 
 F = Fraction
 
@@ -438,6 +440,29 @@ _DEGENERACIES = {
     "circle-boundary": (4, _UNIT_CIRCLE + (
         path_through((0, (1, -2)), (F(1, 2), (0, -1)), (1, (1, -2))),
     ), "concyclic at a slab boundary", (1, 2, 3, 4), (F(0), F(1, 2))),
+    # the same kinds after a first slab [0, 1/4] in which nothing moves, so
+    # only the tuples holding a mover are checked.  With one mover a k = 3
+    # determinant is linear and cannot be tangential: "tangential-later" is
+    # the "tangential" motion delayed, two movers in the slab [1/4, 3/4].
+    # The other three have one mover, priced by integer cofactors.
+    "tangential-later": (3, (
+        static_path((F(0), F(0))),
+        path_through((0, (-1, 1)), (F(1, 4), (-1, 1)), (F(3, 4), (1, 1)), (1, (-1, 1))),
+        path_through((0, (-2, 1)), (F(1, 4), (-2, 1)), (F(3, 4), (2, 3)), (1, (-2, 1))),
+    ), "tangential trisecant", (1, 2, 3), (F(1, 4), F(3, 4))),
+    "circle-tangent-later": (4, _UNIT_CIRCLE + (
+        path_through((0, (-1, -1)), (F(1, 4), (-1, -1)), (F(1, 2), (1, -1)), (1, (-1, -1))),
+    ), "tangential concyclic", (1, 2, 3, 4), (F(1, 4), F(1, 2))),
+    "tuple-boundary-later": (3, (
+        static_path((F(0), F(0))),
+        static_path((F(2), F(0))),
+        path_through((0, (1, 1)), (F(1, 4), (1, 1)), (F(1, 2), (1, 0)), (1, (1, 1))),
+    ), "trisecant at a slab boundary", (1, 2, 3), (F(1, 4), F(1, 2))),
+    "collide-later": (3, (
+        static_path((F(0), F(0))),
+        static_path((F(2), F(0))),
+        path_through((0, (1, 1)), (F(1, 4), (1, 1)), (F(1, 2), (-1, -1)), (1, (1, 1))),
+    ), "two points collide", (1, 3), (F(1, 4), F(1, 2))),
 }
 
 
@@ -485,6 +510,46 @@ def test_random_closed_trajectories_give_even_words():
 
         assert all(c % 2 == 0 for c in Counter(word.letters).values())
     assert found >= 8
+
+
+@st.composite
+def hand_built(draw):
+    """A closed trajectory of 3-6 points and its k: each point stays home or
+    leaves it for one window of [0, 1] on an eighths grid, through one or
+    two waypoints.  Windows overlap or not, so later slabs have no mover, one
+    or several."""
+    k = draw(st.sampled_from((3, 4)))
+    coord = st.integers(-30, 30)
+    paths = []
+    for _ in range(draw(st.integers(max(k, 3), 6))):
+        home = (draw(coord), draw(coord))
+        if draw(st.booleans()):
+            paths.append(path_through((0, home), (1, home)))
+            continue
+        a, b = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)))
+        vias = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=2))
+        timed = [(F(a, 8) + F(b - a, 8) * F(s, len(vias) + 1), v)
+                 for s, v in enumerate(vias, start=1)]
+        paths.append(path_through((0, home), *([(F(a, 8), home)] if a else []), *timed,
+                                  *([(F(b, 8), home)] if b < 8 else []), (1, home)))
+    return Trajectory(tuple(paths)), k
+
+
+def _outcome(tracer, traj, k):
+    try:
+        return [(ev.participants, ev.root.lo, ev.root.hi, ev.root.exact)
+                for ev in tracer(traj, k)]
+    except NonGenericTrajectory as err:
+        return err.reason, err.participants, err.slab
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_built())
+def test_moving_tuples_trace_like_the_full_scan(case):
+    # the same events, or the same first degeneracy, as checking every pair
+    # and tuple of every slab through _event_poly
+    traj, k = case
+    assert _outcome(trace_events, traj, k) == _outcome(full_scan_trace_events, traj, k)
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +773,59 @@ def test_parabola_simulator_errors():
         simulate_bij_parabola(2, 2, 4)
     with pytest.raises(InvalidContext, match="n <= 7, got 8"):
         simulate_bij_parabola(1, 2, 8)
+
+
+# ---------------------------------------------------------------------------
+# One moving point per slab.
+
+def _movers(coeffs):
+    return [p for p, xy in enumerate(coeffs, start=1) if max(map(len, xy)) > 1]
+
+
+@functools.cache
+def _motions(kind, n):
+    """The trajectory of every generator motion of the kind at n that builds."""
+    build = simulate_bij_circle if kind == "circle" else simulate_bij_parabola
+    out = []
+    for i, j in combinations(range(1, n + 1), 2):
+        try:
+            out.append(build(i, j, n)[0])
+        except NonGenericTrajectory:
+            pass
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind, n", [("circle", n) for n in range(4, 9)]
+                         + [("parabola", n) for n in (4, 5, 6)])
+def test_later_slabs_have_one_mover(kind, n):
+    # every generator motion moves one point at a time, so each slab after
+    # the first goes to _one_mover_poly; a builder that moved two points at
+    # once would send the tracer back to _event_poly and fail here
+    failures = _PARABOLA_FAILURES.get(n, set()) if kind == "parabola" else set()
+    motions = _motions(kind, n)
+    assert len(motions) == n * (n - 1) // 2 - len(failures)
+    for traj in motions:
+        slabs = list(trace._slabs(traj))
+        assert all(len(_movers(coeffs)) == 1 for _, _, coeffs in slabs[1:])
+
+
+def test_one_mover_poly_is_event_poly():
+    # the identical polynomial, sign included, on every tuple holding the
+    # one mover of a slab, over every motion of the trace-motions pool
+    checked = 0
+    for kind, k, ns in (("circle", 3, (4, 5, 6)), ("parabola", 4, (4, 5))):
+        for n in ns:
+            for traj in _motions(kind, n):
+                for _, _, coeffs in trace._slabs(traj):
+                    movers = _movers(coeffs)
+                    if len(movers) != 1:
+                        continue
+                    for tup in combinations(range(1, n + 1), k):
+                        if movers[0] in tup:
+                            ps = [coeffs[p - 1] for p in tup]
+                            assert trace._one_mover_poly(ps, tup.index(movers[0])) == _event_poly(ps)
+                            checked += 1
+    assert checked == 3938
 
 
 # ---------------------------------------------------------------------------
