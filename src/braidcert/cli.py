@@ -8,13 +8,14 @@ Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation or an unwritable output path.  Parabola motions are limited to
 n <= 7 (at n = 8, 12 of the 28 generators fail the letter-exact word
 check), so `simulate --kind parabola` and `verify --suite tracer` with
-n >= 8 exit 3 at once.  So does `verify --suite relators` beyond n = 9, a
-bound on its run time (4 s at n = 10, k = 4); `geometry --op growth` beyond
-n = 12 (n = 7 with --case23), whose last abscissa would not print in
-decimal; and `geometry --op order --case 2|3` beyond n = 7, whose case-2/3
-upgrade would run for seconds and more.  `geometry` and `reduce --toy` exit 3
-with an empty stdout when an input number or a result has more than 4300
-digits.
+n >= 8 exit 3 at once.  So does `simulate --kind circle` beyond n = 32, a
+bound on its trace time (0.55 s at n = 32, 3.8 s at n = 64); `verify
+--suite relators` beyond n = 9, a bound on its run time (4 s at n = 10,
+k = 4); `geometry --op growth` beyond n = 12 (n = 7 with --case23), whose
+last abscissa would not print in decimal; and `geometry --op order --case
+2|3` beyond n = 7, whose case-2/3 upgrade would run for seconds and more.
+`geometry` and `reduce --toy` exit 3 with an empty stdout when an input
+number or a result has more than 4300 digits.
 """
 
 from __future__ import annotations

@@ -5,22 +5,26 @@ time interval [0, 1], all breakpoints rational.  The tracers scan every time
 slab (between consecutive breakpoints of any point): the first slab checks
 every pair and every 3- or 4-point tuple, a later one only those that hold
 a point moving in it, since the others stay what they were, and nonzero, at
-the end of the slab before.  One determinant gives both events: in
-coordinates relative to the last point of the tuple, the rows (dx, dy) for
-collinearity and (dx, dy, dx^2+dy^2) for concyclicity (zero also for four
-collinear points, i.e. a circle through infinity, which counts as an
-event); with a single moving point it is expanded along that point's row
-instead.  Per slab every position is first multiplied by the common
-denominator L of the slab's linear coordinates: scaling the plane by L > 0
-moves no collinearity, concyclicity or collision and multiplies each
-determinant by a positive power of L, so no sign changes, and the
-determinant is a polynomial in t with integer coefficients.  One
-genericity check serves it and the squared distance of every point pair: a
-polynomial that vanishes on the whole slab, at a slab end, or at a repeated
-root inside the slab (a tangency, or for a pair a collision) raises
-NonGenericTrajectory naming the tuple and slab.  The roots of the squarefree part are isolated exactly
-(Sturm chains), events are sorted by exact algebraic-number comparison, and
-simultaneous events are rejected the same way.
+the end of the slab before.  One determinant gives both events: det [x y 1]
+for collinearity and det [x y x^2+y^2 1] for concyclicity (zero also for
+four collinear points, i.e. a circle through infinity, which counts as an
+event).  Each point's position on a segment is a pair of integer linear
+polynomials in t over its own denominator d > 0.  The first slab, and any
+slab with several moving points, multiplies every position by the slab's
+common denominator and expands the determinant in coordinates relative to
+the last point of the tuple.  A run of later slabs that move one point
+takes each row times d or d^2, (x, y, d) or (x d, y d, x^2+y^2, d^2), and
+dots the mover's row with the cofactors of the static rows, computed once
+per run: the line through two points or the circle through three.  Every
+such scaling multiplies a polynomial by a positive constant, which moves no
+root and flips no sign.  One genericity check serves it and the squared
+distance of every point pair: a polynomial that vanishes on the whole slab,
+at a slab end, or at a repeated root inside the slab (a tangency, or for a
+pair a collision) raises NonGenericTrajectory naming the tuple and slab.
+The roots of the squarefree part are isolated exactly (in closed form up to
+degree 2, else by Sturm chains), events are sorted by exact
+algebraic-number comparison, and simultaneous events are rejected the same
+way.
 
 The simulators build the four-stage motion of the generator braid b_ij the
 homomorphisms are read from: i moves in stages 1 and 3, j in stages 2 and 4,
@@ -48,11 +52,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
-from .geometry import ParabolaConfig, circle_through, growth_sequence_case1
+from .geometry import ParabolaConfig, growth_sequence_case1
 from .gnk import GnkWord
 from .pbraid import PBWord, g4_c, map_pb_to_g3, pb_letter
 from .roots import (
@@ -64,6 +69,7 @@ from .roots import (
     poly_add,
     poly_mul,
     poly_sub,
+    primitive,
     pseudo_divmod,
     root_compare,
     sign_at,
@@ -108,27 +114,29 @@ class SecantEvent:
     root: RealRoot
 
 
-def _segments(path: Sequence[Breakpoint]) -> list[tuple[Fraction, int, tuple[Poly, Poly]]]:
-    """Each segment of a path as (end time, d, (x, y)): the position on it
-    is (x / d, y / d), two integer polynomials of degree <= 1 in global
-    time over one positive denominator."""
+def _segments(path: Sequence[Breakpoint]) -> list[tuple[Fraction, int, int, int, int, int]]:
+    """Each segment of a path as (end time, d, x0, x1, y0, y1): the position
+    on it is ((x0 + x1 t) / d, (y0 + y1 t) / d), with the least d > 0.  Over
+    the denominator m of both points, p(t) = (p0 (b - t) + p1 (t - a)) /
+    (b - a) is integer once b - a is cleared, then reduced by the gcd."""
     out = []
-    for (a, p0), (b, p1) in zip(path, path[1:]):
-        vx = (p1[0] - p0[0]) / (b - a)
-        vy = (p1[1] - p0[1]) / (b - a)
-        coeffs = (p0[0] - vx * a, vx, p0[1] - vy * a, vy)
-        d = lcm(*(c.denominator for c in coeffs))
-        x0, x1, y0, y1 = (c.numerator * (d // c.denominator) for c in coeffs)
-        out.append((b, d, (poly((x0, x1)), poly((y0, y1)))))
+    for (a, (ax, ay)), (b, (bx, by)) in zip(path, path[1:]):
+        m = lcm(ax.denominator, ay.denominator, bx.denominator, by.denominator)
+        u0, v0, u1, v1 = (c.numerator * (m // c.denominator) for c in (ax, ay, bx, by))
+        ab = a.denominator * b.denominator
+        na, nb = a.numerator * b.denominator, b.numerator * a.denominator
+        coeffs = (m * (nb - na), u0 * nb - u1 * na, (u1 - u0) * ab,
+                  v0 * nb - v1 * na, (v1 - v0) * ab)
+        g = gcd(*coeffs)
+        out.append((b, *(c // g for c in coeffs)))
     return out
 
 
-def _slabs(traj: Trajectory) -> Iterator[tuple[Fraction, Fraction, list[tuple[Poly, Poly]]]]:
+def _slabs(traj: Trajectory) -> Iterator[tuple[Fraction, Fraction, list[tuple[int, ...]]]]:
     """Every time slab (t0, t1) between consecutive breakpoints of any point,
-    with the integer position polynomials of all points on it: the rational
-    positions times the common denominator of the slab, one factor for all
-    points.  The slabs contain every breakpoint, so each lies inside a
-    single segment of each path."""
+    with the segment (d, x0, x1, y0, y1) of every point on it.  The slabs
+    contain every breakpoint, so each lies inside a single segment of each
+    path."""
     grid = sorted({t for path in traj.paths for t, _ in path})
     segments = [_segments(path) for path in traj.paths]
     at = [0] * traj.n
@@ -137,10 +145,8 @@ def _slabs(traj: Trajectory) -> Iterator[tuple[Fraction, Fraction, list[tuple[Po
         for u, segs in enumerate(segments):
             if segs[at[u]][0] <= t0:
                 at[u] += 1
-            current.append(segs[at[u]])
-        den = lcm(*(d for _, d, _ in current))
-        yield t0, t1, [tuple(tuple(c * (den // d) for c in q) for q in xy)
-                       for _, d, xy in current]
+            current.append(segs[at[u]][1:])
+        yield t0, t1, current
 
 
 def _det(rows: list[list[Poly]]) -> Poly:
@@ -170,36 +176,68 @@ def _event_poly(ps: list[tuple[Poly, Poly]]) -> Poly:
     return _det(rows)
 
 
-def _one_mover_poly(ps: list[tuple[Poly, Poly]], r: int) -> Poly:
-    """_event_poly of k = 3 or 4 points of which only ps[r] moves: degree
-    <= 1 at k = 3, <= 2 at k = 4.  It expands det [x y 1] or
-    det [x y x^2+y^2 1] (rows in tuple order) along row r, whose cofactors
-    are integers of the static rows.  Subtracting the last static row c from
-    the other static rows changes no cofactor, so those of the x, y (and
-    x^2+y^2) columns are the signed minors of the differences, and the
-    determinant is their sum against (entry - c's entry).  _event_poly is
-    the same determinant, sign included: it subtracts the last row from the
-    others, expands along the ones column (sign +) and, at k = 4, subtracts
-    2 x_l and 2 y_l times the first two columns from the third.  So both
-    give the identical polynomial."""
-    (x0, x1), (y0, y1) = ((q + (0, 0))[:2] for q in ps[r])
-    row = [(x0, x1, 0), (y0, y1, 0),
-           (x0 * x0 + y0 * y0, 2 * (x0 * x1 + y0 * y1), x1 * x1 + y1 * y1)][:len(ps) - 1]
-    static = []
-    for x, y in ps[:r] + ps[r + 1:]:
-        x, y = (x or (0,))[0], (y or (0,))[0]
-        static.append((x, y, x * x + y * y)[:len(row)])
-    *others, last = static
-    diffs = [[u - v for u, v in zip(a, last)] for a in others]
-    if len(diffs) == 1:
-        (ax, ay), = diffs
-        cof = (ay, -ax)
+def _lifted(k: int, seg: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Row of a point on the segment (d, x0, x1, y0, y1) in the k-point
+    determinant, as its coefficients of t^0, t^1 (and t^2): (x, y, d) at
+    k = 3, (x d, y d, x^2 + y^2, d^2) at k = 4, d or d^2 times the textbook
+    row.  A static point has only the first."""
+    d, x0, x1, y0, y1 = seg
+    if k == 3:
+        return [(x0, y0, d), (x1, y1, 0)]
+    return [(x0 * d, y0 * d, x0 * x0 + y0 * y0, d * d),
+            (x1 * d, y1 * d, 2 * (x0 * x1 + y0 * y1), 0), (0, 0, x1 * x1 + y1 * y1, 0)]
+
+
+def _static_form(rows: Sequence[tuple[int, ...]], r: int) -> tuple[int, ...]:
+    """Cofactors of row r of the k x k determinant whose other rows are the
+    k - 1 static rows in order, so the determinant is their dot product with
+    row r: at k = 3 the cross product of the two rows, at k = 4 the 3 x 3
+    minors, each the first row dotted with the k = 3 form of the others."""
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        form = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
     else:
-        (ax, ay, aw), (bx, by, bw) = diffs
-        cof = (ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
-    sign = -1 if r % 2 else 1
-    return poly([sign * sum(c * (e[0] - v) for c, e, v in zip(cof, row, last))]
-                + [sign * sum(c * e[t] for c, e in zip(cof, row)) for t in (1, 2)])
+        form = [(-1) ** i * sum(map(mul, rows[0][:i] + rows[0][i + 1:],
+                                    _static_form([v[:i] + v[i + 1:] for v in rows[1:]], 0)))
+                for i in range(4)]
+    return tuple(-v for v in form) if r % 2 else tuple(form)
+
+
+def _closed_form_roots(p: Sequence[int], who: tuple[int, ...], t0: Fraction, t1: Fraction,
+                       whole: str, boundary: str, repeated: str) -> list[RealRoot]:
+    """isolate_roots(_generic_part(p, ...)) for p = (c0, c1[, c2]) of degree
+    <= 2, from its end signs and discriminant: a double root inside the slab
+    is a repeated one; a line has its root inside when the end signs differ;
+    with signs read as if c2 > 0, a quadratic has then one root inside (the
+    smaller if p(t0) > 0), none if both ends are negative, and both if both
+    are positive with the vertex inside."""
+    c0, c1, c2 = (*p, 0, 0)[:3]
+    if not (c0 or c1 or c2):
+        raise NonGenericTrajectory(whole, who, (t0, t1))
+    u, v = t0.numerator, t0.denominator
+    s0 = c0 * v * v + c1 * u * v + c2 * u * u
+    u, v = t1.numerator, t1.denominator
+    s1 = c0 * v * v + c1 * u * v + c2 * u * u
+    if not (s0 and s1):
+        raise NonGenericTrajectory(boundary, who, (t0, t1))
+    if not c2:
+        return [] if (s0 > 0) == (s1 > 0) else [RealRoot.from_rational(Fraction(-c0, c1))]
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        return []
+    vertex = Fraction(-c1, 2 * c2)
+    if not disc:
+        if t0 < vertex < t1:
+            raise NonGenericTrajectory(repeated, who, (t0, t1))
+        return []
+    pos0, pos1 = (s0 > 0) == (c2 > 0), (s1 > 0) == (c2 > 0)
+    m = primitive((c0, c1, c2))
+    if pos0 != pos1:
+        return [RealRoot(m, t0, min(t1, vertex), False) if pos0
+                else RealRoot(m, max(t0, vertex), t1, False)]
+    if pos0 and t0 < vertex < t1:
+        return [RealRoot(m, t0, vertex, False), RealRoot(m, vertex, t1, False)]
+    return []
 
 
 def _generic_part(p: Poly, who: tuple[int, ...], t0: Fraction, t1: Fraction,
@@ -231,42 +269,61 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
     the one a scan of every tuple raises.  Lemma (continuity): positions are
     continuous in time, so a pair or tuple with no moving point in a slab
     keeps, as a constant, the value its polynomial had at the end of the
-    slab before; the two slabs' common denominators scale that value by a
-    positive factor, which changes no sign.  There it was found nonzero: by
+    slab before, up to the positive factor of the denominators, which
+    changes no sign.  There it was found nonzero: by
     the slab-end check if it was checked in that slab, else, being constant
     there too, by the same argument one slab earlier, down to the first
-    slab.  So it has no event and no degeneracy in this slab.  When a later
-    slab has a single moving point, its tuples' polynomials come from
-    _one_mover_poly, which equals _event_poly."""
+    slab.  So it has no event and no degeneracy in this slab.  A run of later
+    slabs with one moving point m keeps every other point, hence its lifted
+    row, fixed, so the static form of each (k-1)-tuple is computed once per
+    run.  Per-point denominators scale each row, and so each determinant and
+    squared distance, by a positive constant against the common-denominator
+    polynomial: the same primitive part, roots, degeneracies and order of
+    checks."""
     if k not in (3, 4):
         raise InvalidContext(f"events are defined for k in {{3, 4}}, got {k}")
     if traj.n < k:
         raise InvalidContext(f"need at least {k} points, got {traj.n}")
     kind = "trisecant" if k == 3 else "concyclic"
+    pair_msgs = ("two points coincide throughout a slab",
+                 "two points coincide at a slab boundary", "two points collide")
+    tuple_msgs = (f"{kind} holds on a whole slab", f"{kind} at a slab boundary",
+                  f"tangential {kind}")
     events: list[SecantEvent] = []
     points = range(1, traj.n + 1)
-    for s, (t0, t1, coeffs) in enumerate(_slabs(traj)):
-        movers = {p for p in points if s == 0 or max(map(len, coeffs[p - 1])) > 1}
-        for pair in combinations(points, 2):
-            if movers.isdisjoint(pair):
-                continue
-            # every real root of dx^2 + dy^2 is a double root: a collision
-            (x1, y1), (x2, y2) = (coeffs[p - 1] for p in pair)
-            dx, dy = poly_sub(x1, x2), poly_sub(y1, y2)
-            _generic_part(poly_add(poly_mul(dx, dx), poly_mul(dy, dy)), pair, t0, t1,
-                          "two points coincide throughout a slab",
-                          "two points coincide at a slab boundary",
-                          "two points collide")
-        mover = next(iter(movers)) if s and len(movers) == 1 else None
+    run, forms = None, []
+    for s, (t0, t1, segs) in enumerate(_slabs(traj)):
+        moving = {p for p in points if s == 0 or segs[p - 1][2] or segs[p - 1][4]}
+        for u, v in combinations(points, 2):
+            if u in moving or v in moving:
+                # every real root of dx^2 + dy^2 is a double root: a collision
+                (du, ux0, ux1, uy0, uy1), (dv, vx0, vx1, vy0, vy1) = segs[u - 1], segs[v - 1]
+                x0, x1 = dv * ux0 - du * vx0, dv * ux1 - du * vx1
+                y0, y1 = dv * uy0 - du * vy0, dv * uy1 - du * vy1
+                _closed_form_roots((x0 * x0 + y0 * y0, 2 * (x0 * x1 + y0 * y1),
+                                    x1 * x1 + y1 * y1), (u, v), t0, t1, *pair_msgs)
+        if s and len(moving) == 1:
+            m, = moving
+            if run != m:
+                run, forms = m, []
+                for rest in combinations([p for p in points if p != m], k - 1):
+                    r = sum(p < m for p in rest)
+                    forms.append((rest[:r] + (m,) + rest[r:],
+                                  _static_form([_lifted(k, segs[p - 1])[0] for p in rest], r)))
+            rows = _lifted(k, segs[m - 1])
+            for tup, form in forms:
+                for root in _closed_form_roots([sum(map(mul, form, row)) for row in rows],
+                                               tup, t0, t1, *tuple_msgs):
+                    events.append(SecantEvent(kind, tup, root))
+            continue
+        run, den = None, lcm(*(seg[0] for seg in segs))
+        coeffs = [(poly((x0 * f, x1 * f)), poly((y0 * f, y1 * f)))
+                  for d, x0, x1, y0, y1 in segs for f in (den // d,)]
         for tup in combinations(points, k):
-            if movers.isdisjoint(tup):
+            if moving.isdisjoint(tup):
                 continue
-            ps = [coeffs[p - 1] for p in tup]
-            det = _one_mover_poly(ps, tup.index(mover)) if mover else _event_poly(ps)
-            sf = _generic_part(det, tup, t0, t1,
-                               f"{kind} holds on a whole slab",
-                               f"{kind} at a slab boundary",
-                               f"tangential {kind}")
+            sf = _generic_part(_event_poly([coeffs[p - 1] for p in tup]), tup, t0, t1,
+                               *tuple_msgs)
             for root in isolate_roots(sf, t0, t1):
                 events.append(SecantEvent(kind, tup, root))
     events.sort(key=cmp_to_key(lambda a, b: root_compare(a.root, b.root)))
@@ -287,20 +344,24 @@ def event_word(n: int, k: int, events: Iterable[SecantEvent]) -> GnkWord:
 # ---------------------------------------------------------------------------
 # Exact segment-versus-circle crossings (keeping parabola corridors clear).
 
-def _crosses(p0: Point, p1: Point, circle: tuple[Point, Fraction]) -> bool:
-    """Whether the segment crosses the circle: its ends lie on opposite
-    sides, or both outside with the vertex of q(s) = |p0 + s (p1 - p0) -
-    centre|^2 - r^2 = A s^2 + B s + C inside (0, 1) and below zero.  A
-    tangency or an end exactly on the circle is left to the trace, which
-    rejects it as a tangential or slab-boundary concyclicity."""
-    (a, b), r2 = circle
-    wx, wy = p0[0] - a, p0[1] - b
-    vx, vy = p1[0] - p0[0], p1[1] - p0[1]
-    A = vx * vx + vy * vy
-    B = 2 * (vx * wx + vy * wy)
-    C = wx * wx + wy * wy - r2
-    q0, q1 = C, A + B + C
-    return (q0 > 0) != (q1 > 0) or (q0 > 0 and 0 < -B < 2 * A and B * B > 4 * A * C)
+def _crosses(p0: Point, p1: Point, circles: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the segment crosses one of the circles (_static_circles).  On
+    p0 + s (p1 - p0) a circle's form is q(s) = A s^2 + B s + C, a positive
+    multiple of |p - centre|^2 - r^2; the segment crosses the circle when its
+    ends lie on opposite sides, or both outside with the vertex of q inside
+    (0, 1) and below zero.  A tangency or an end exactly on the circle is
+    left to the trace, which rejects it as a tangential or slab-boundary
+    concyclicity."""
+    (x0, y0), (x1, y1) = p0, p1
+    d = lcm(x0.denominator, y0.denominator, x1.denominator, y1.denominator)
+    x0, y0, x1, y1 = (c.numerator * (d // c.denominator) for c in (x0, y0, x1, y1))
+    rows = _lifted(4, (d, x0, x1 - x0, y0, y1 - y0))
+    for form in circles:
+        C, B, A = (sum(map(mul, form, row)) for row in rows)
+        q1 = A + B + C
+        if (C > 0) != (q1 > 0) or (C > 0 and 0 < -B < 2 * A and B * B > 4 * A * C):
+            return True
+    return False
 
 
 def _four_stage(i: int, j: int, homes: Sequence[Point],
@@ -380,6 +441,13 @@ def _min_gap_sq(params: Iterable[Fraction]) -> Fraction:
     return min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2))
 
 
+# Largest n of the circle motions: the trace of b_1n checks C(n, 3) tuples in
+# its first slab and C(n-1, 2) in each of its O(n) later slabs.  It took
+# 0.55 s at n = 32 and 3.8 s at n = 64 (shared 2-vCPU x86 machine, CPython
+# 3.11), so the limit keeps every circle motion under about a second.
+_CIRCLE_MAX_N = 32
+
+
 def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[SecantEvent]]:
     """Closed motion realising the generator b_ij on a circle configuration,
     returned with its trisecant events (the trace that validated it).
@@ -393,9 +461,12 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
     for letter.  No retry is needed: the static points lie on the circle and
     the mover strictly inside between on-circle endpoints, so only an exact
     coincidence (a via point on a chord line) could make the trace fail.
+    n is limited to 3.._CIRCLE_MAX_N, which bounds the trace's run time.
     """
     if n < 3:
         raise InvalidContext(f"circle motions need n >= 3, got {n}")
+    if n > _CIRCLE_MAX_N:
+        raise InvalidContext(f"circle motions need n <= {_CIRCLE_MAX_N}, got {n}")
     if not (1 <= i < j <= n):
         raise InvalidPair(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     home = {u: Fraction(u) for u in range(1, n + 1)}
@@ -420,7 +491,7 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
 # Largest n of the parabola motions.  At n = 8 the coordinates still print
 # (t_8 has 255 digits), but 12 of the 28 generators fail the letter-exact
 # word check, each by reordering far-commuting letters; the other 16 build
-# in 14-19 s in total (shared 2-vCPU x86 machine, CPython 3.11).
+# in 4.8-6.3 s in total (shared 2-vCPU x86 machine, CPython 3.11).
 _PARABOLA_MAX_N = 7
 
 
@@ -428,10 +499,15 @@ def _parabola_pt(t: Fraction, h: Fraction = Fraction(0)) -> Point:
     return (t, t * t + h)
 
 
-def _static_circles(static_ts: Iterable[Fraction]) -> list[tuple[Point, Fraction]]:
-    """Circumcircles of all static triples."""
-    return [circle_through(*(_parabola_pt(t) for t in ts))
-            for ts in combinations(sorted(static_ts), 3)]
+def _static_circles(static_ts: Iterable[Fraction]) -> list[tuple[int, ...]]:
+    """Circumcircles of all static triples as static forms f.  f . _lifted(p)
+    vanishes at the three points, so it is f's x^2 + y^2 entry times
+    |p - centre|^2 - r^2, up to d^2 > 0.  That entry is the orientation
+    det [x y 1] of the triple, times d^2 each, and is positive: sorted by
+    abscissa, three points of the parabola turn counterclockwise."""
+    rows = [_lifted(4, (v * v, u * v, 0, u * u, 0))[0]
+            for u, v in ((t.numerator, t.denominator) for t in sorted(static_ts))]
+    return [_static_form(triple, 0) for triple in combinations(rows, 3)]
 
 
 def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
@@ -439,7 +515,7 @@ def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
     """Polyline from p0 to p1 crossing no static circle: a segment that
     crosses one is split at the point eta above the parabola at its middle
     abscissa, and both halves are checked again."""
-    if not any(_crosses(p0, p1, c) for c in circles):
+    if not _crosses(p0, p1, circles):
         return [p0, p1]
     if depth > 48:
         raise NonGenericTrajectory("corridor subdivision did not converge")

@@ -374,6 +374,29 @@ def test_simulate_parabola_size_limit(capsys):
     assert err == "error: parabola motions need n <= 7, got 8\n"
 
 
+@pytest.mark.parametrize("n", [33, 2000])
+def test_simulate_circle_size_limit_fails_fast(n, capsys, monkeypatch):
+    # refused before any circle point is placed or any tuple traced
+    from braidcert import trace
+
+    calls = []
+    for name in ("_circle_point", "trace_events"):
+        fn = getattr(trace, name)
+        monkeypatch.setattr(trace, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--kind", "circle", "--i", "1",
+                         "--j", "2", "--n", str(n), "--trace")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == f"error: circle motions need n <= 32, got {n}\n"
+    assert calls == []
+    assert trace._CIRCLE_MAX_N == 32
+    code, out, _ = run(capsys, "simulate", "--kind", "circle", "--i", "31",
+                       "--j", "32", "--n", "32")
+    assert code == 0 and json.loads(out)["n"] == 32
+
+
 # The per-layer benchmark wraps these attributes of ``trace`` (its build and
 # trace spans, and a hook reading the trajectory and k as the two positional
 # arguments of trace_events); the CLI and the builders must look each one up

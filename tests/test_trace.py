@@ -1,12 +1,13 @@
 import functools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidcert import geometry, trace
 from braidcert.errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
@@ -40,7 +41,12 @@ from braidcert.trace import (
 )
 
 from test_trace_digests import CORPUS as DIGEST_CORPUS
-from trace_oracles import full_scan_trace_events
+from trace_oracles import (
+    _crosses as oracle_crosses,
+    _segments as oracle_segments,
+    _slabs as oracle_slabs,
+    full_scan_trace_events,
+)
 
 F = Fraction
 
@@ -553,6 +559,132 @@ def test_moving_tuples_trace_like_the_full_scan(case):
 
 
 # ---------------------------------------------------------------------------
+# Integer forms against their Fraction oracles.
+
+@st.composite
+def slab_polys(draw):
+    """A slab (t0, t1) and integer coefficients (c0, c1, c2) of degree <= 2,
+    as the tracer passes them: zero, a constant, a random line or quadratic,
+    or a nonzero multiple of (t - r) or (t - r1) (t - r2) with each root on
+    an end of the slab, inside it or outside, a double root included."""
+    t0, t1 = sorted(draw(st.lists(small_rationals, min_size=2, max_size=2, unique=True)))
+    spot = st.sampled_from((t0, t1, (t0 + t1) / 2, (2 * t0 + t1) / 3)) | small_rationals
+    shape = draw(st.sampled_from(("zero", "constant", "random", "line", "roots", "double")))
+    if shape == "random":
+        p = poly(draw(st.lists(st.integers(-20, 20), min_size=3, max_size=3)))
+    elif shape == "line":
+        p = poly((-draw(spot), 1))
+    elif shape in ("roots", "double"):
+        r1 = draw(spot)
+        r2 = r1 if shape == "double" else draw(spot)
+        p = poly((r1 * r2, -r1 - r2, 1))
+    else:
+        p = poly((1,) if shape == "constant" else ())
+    factor = draw(st.integers(-9, 9).filter(bool))
+    coeffs = tuple(factor * c for c in primitive(p)) + (0, 0, 0)
+    return t0, t1, coeffs[:draw(st.sampled_from((2, 3))) if len(p) <= 2 else 3]
+
+
+def _roots_or_raised(isolate):
+    try:
+        return [(r.lo, r.hi, r.exact, r.minimal) for r in isolate()]
+    except NonGenericTrajectory as err:
+        return err.reason, err.participants, err.slab
+
+
+@settings(max_examples=400, deadline=None)
+@given(slab_polys())
+@example((F(0), F(1), (0, 0, 0)))
+@example((F(0), F(1), (-3, 0)))
+@example((F(0), F(1), (1, -4, 4)))
+@example((F(1), F(2), (1, -4, 4)))
+@example((F(0), F(1), (0, -1, 1)))
+@example((F(-1), F(2), (-2, 0, 1)))
+@example((F(-2), F(2), (-4, 0, 2)))
+@example((F(0), F(2), (2, 0, -1)))
+def test_closed_form_roots_match_sturm_isolation(case):
+    # the same roots, or the same degeneracy, as the generic check followed
+    # by root isolation
+    t0, t1, coeffs = case
+    msgs = ("whole", "boundary", "repeated")
+    closed = _roots_or_raised(lambda: trace._closed_form_roots(coeffs, (1, 2), t0, t1, *msgs))
+    generic = _roots_or_raised(lambda: isolate_roots(
+        trace._generic_part(poly(coeffs), (1, 2), t0, t1, *msgs), t0, t1))
+    assert closed == generic
+
+
+@st.composite
+def rational_paths(draw):
+    """A path of 2-5 breakpoints from time 0 to 1 through rational points."""
+    coord = st.fractions(min_value=-50, max_value=50, max_denominator=97)
+    inner = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60),
+                          max_size=3, unique=True))
+    times = [F(0)] + sorted(set(inner) - {0, 1}) + [F(1)]
+    return [(t, (draw(coord), draw(coord))) for t in times]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_paths())
+def test_integer_segments_match_the_fraction_segments(path):
+    segments = [(b, d, poly((x0, x1)), poly((y0, y1)))
+                for b, d, x0, x1, y0, y1 in trace._segments(path)]
+    assert segments == [(b, d, x, y) for b, d, (x, y) in oracle_segments(path)]
+
+
+parabola_abscissas = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=8),
+                              min_size=3, max_size=5, unique=True)
+plane_points = st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=16),
+                         st.fractions(min_value=-2, max_value=20, max_denominator=16))
+
+
+@st.composite
+def points_near(draw, ts):
+    """A point of the plane, or one of the parabola points at ts (on every
+    circle through it)."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        t = draw(st.sampled_from(ts))
+        return (t, t * t)
+    return draw(plane_points)
+
+
+def _circles(ts):
+    return [geometry.circle_through(*((t, t * t) for t in triple))
+            for triple in combinations(sorted(ts), 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(parabola_abscissas, st.data())
+def test_static_circle_forms_have_the_sign_of_the_power(ts, data):
+    # f . _lifted(p) has the sign of |p - centre|^2 - r^2 for every circle
+    x, y = data.draw(points_near(ts))
+    d = math.lcm(x.denominator, y.denominator)
+    row = trace._lifted(4, (d, x.numerator * (d // x.denominator), 0,
+                            y.numerator * (d // y.denominator), 0))[0]
+    for form, ((a, b), r2) in zip(trace._static_circles(ts), _circles(ts)):
+        value = sum(map(operator.mul, form, row))
+        power = (x - a) ** 2 + (y - b) ** 2 - r2
+        assert (value > 0) - (value < 0) == (power > 0) - (power < 0)
+
+
+@st.composite
+def corridors(draw):
+    ts = draw(parabola_abscissas)
+    return ts, draw(points_near(ts)), draw(points_near(ts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corridors())
+@example(([F(-1), F(0), F(1)], (F(-1), F(2)), (F(1), F(2))))  # tangent at (0, 2)
+@example(([F(-1), F(0), F(1)], (F(-1), F(2)), (F(1), F(3, 2))))
+@example(([F(-1), F(0), F(1)], (F(-1), F(1)), (F(0), F(1))))  # from the circle to its centre
+def test_crosses_decides_as_the_fraction_crosses(case):
+    ts, p0, p1 = case
+    assume(p0 != p1)
+    assert trace._crosses(p0, p1, trace._static_circles(ts)) == any(
+        oracle_crosses(p0, p1, circle) for circle in _circles(ts))
+
+
+# ---------------------------------------------------------------------------
 # Simulators.
 
 def test_circle_simulator_closed_and_valid():
@@ -778,8 +910,8 @@ def test_parabola_simulator_errors():
 # ---------------------------------------------------------------------------
 # One moving point per slab.
 
-def _movers(coeffs):
-    return [p for p, xy in enumerate(coeffs, start=1) if max(map(len, xy)) > 1]
+def _movers(segs):
+    return [p for p, (_, _, x1, _, y1) in enumerate(segs, start=1) if x1 or y1]
 
 
 @functools.cache
@@ -799,8 +931,8 @@ def _motions(kind, n):
                          + [("parabola", n) for n in (4, 5, 6)])
 def test_later_slabs_have_one_mover(kind, n):
     # every generator motion moves one point at a time, so each slab after
-    # the first goes to _one_mover_poly; a builder that moved two points at
-    # once would send the tracer back to _event_poly and fail here
+    # the first is priced from static forms; a builder that moved two points
+    # at once would send the tracer back to _event_poly and fail here
     failures = _PARABOLA_FAILURES.get(n, set()) if kind == "parabola" else set()
     motions = _motions(kind, n)
     assert len(motions) == n * (n - 1) // 2 - len(failures)
@@ -809,21 +941,28 @@ def test_later_slabs_have_one_mover(kind, n):
         assert all(len(_movers(coeffs)) == 1 for _, _, coeffs in slabs[1:])
 
 
-def test_one_mover_poly_is_event_poly():
-    # the identical polynomial, sign included, on every tuple holding the
-    # one mover of a slab, over every motion of the trace-motions pool
+def test_run_form_poly_is_event_poly():
+    # on every tuple holding the one mover of a slab, over every motion of
+    # the trace-motions pool, the polynomial priced from the static form of
+    # the other points is a positive multiple of _event_poly's on the earlier
+    # common-denominator positions: equal primitive parts, sign included
     checked = 0
     for kind, k, ns in (("circle", 3, (4, 5, 6)), ("parabola", 4, (4, 5))):
         for n in ns:
             for traj in _motions(kind, n):
-                for _, _, coeffs in trace._slabs(traj):
-                    movers = _movers(coeffs)
+                for (_, _, segs), (_, _, coeffs) in zip(trace._slabs(traj), oracle_slabs(traj)):
+                    movers = _movers(segs)
                     if len(movers) != 1:
                         continue
+                    m = movers[0]
                     for tup in combinations(range(1, n + 1), k):
-                        if movers[0] in tup:
-                            ps = [coeffs[p - 1] for p in tup]
-                            assert trace._one_mover_poly(ps, tup.index(movers[0])) == _event_poly(ps)
+                        if m in tup:
+                            statics = [trace._lifted(k, segs[p - 1])[0] for p in tup if p != m]
+                            form = trace._static_form(statics, tup.index(m))
+                            run = poly(sum(map(operator.mul, form, row))
+                                       for row in trace._lifted(k, segs[m - 1]))
+                            old = _event_poly([coeffs[p - 1] for p in tup])
+                            assert run and primitive(run) == primitive(old)
                             checked += 1
     assert checked == 3938
 

@@ -1,17 +1,75 @@
-"""Reference implementation the tracer tests compare against.
+"""Reference implementations the tracer tests compare against.
 
 ``full_scan_trace_events`` is the loop of ``trace.trace_events`` before it
-skipped the pairs and tuples with no moving point and priced one-mover slabs
-by integer cofactors: it builds and checks the polynomial of every pair and
-every k-tuple in every slab through ``trace._event_poly``, so it needs
-neither the continuity lemma nor the cofactor identity."""
+skipped the pairs and tuples with no moving point and priced one-mover slab
+runs from static line and circle forms: it builds and checks the polynomial
+of every pair and every k-tuple in every slab through ``trace._event_poly``,
+so it needs neither the continuity lemma nor the cofactor identity.
 
+``_segments`` and ``_slabs`` are the tracer's earlier positions, in
+``Fraction`` and over one common denominator per slab; ``_crosses`` is the
+parabola builder's earlier corridor test against the ``Fraction`` centre and
+squared radius of ``geometry.circle_through``."""
+
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from math import lcm
 
 from braidcert.errors import InvalidContext, NonGenericTrajectory
-from braidcert.roots import isolate_roots, poly_add, poly_mul, poly_sub, root_compare
-from braidcert.trace import SecantEvent, _event_poly, _generic_part, _slabs
+from braidcert.roots import isolate_roots, poly, poly_add, poly_mul, poly_sub, root_compare
+from braidcert.trace import SecantEvent, _event_poly, _generic_part
+
+
+def _segments(path):
+    """Each segment of a path as (end time, d, (x, y)): the position on it
+    is (x / d, y / d), two integer polynomials of degree <= 1 in global
+    time over one positive denominator."""
+    out = []
+    for (a, p0), (b, p1) in zip(path, path[1:]):
+        vx = (p1[0] - p0[0]) / (b - a)
+        vy = (p1[1] - p0[1]) / (b - a)
+        coeffs = (p0[0] - vx * a, vx, p0[1] - vy * a, vy)
+        d = lcm(*(c.denominator for c in coeffs))
+        x0, x1, y0, y1 = (c.numerator * (d // c.denominator) for c in coeffs)
+        out.append((b, d, (poly((x0, x1)), poly((y0, y1)))))
+    return out
+
+
+def _slabs(traj):
+    """Every time slab (t0, t1) between consecutive breakpoints of any point,
+    with the integer position polynomials of all points on it: the rational
+    positions times the common denominator of the slab, one factor for all
+    points.  The slabs contain every breakpoint, so each lies inside a
+    single segment of each path."""
+    grid = sorted({t for path in traj.paths for t, _ in path})
+    segments = [_segments(path) for path in traj.paths]
+    at = [0] * traj.n
+    for t0, t1 in zip(grid, grid[1:]):
+        current = []
+        for u, segs in enumerate(segments):
+            if segs[at[u]][0] <= t0:
+                at[u] += 1
+            current.append(segs[at[u]])
+        den = lcm(*(d for _, d, _ in current))
+        yield t0, t1, [tuple(tuple(c * (den // d) for c in q) for q in xy)
+                       for _, d, xy in current]
+
+
+def _crosses(p0, p1, circle):
+    """Whether the segment crosses the circle: its ends lie on opposite
+    sides, or both outside with the vertex of q(s) = |p0 + s (p1 - p0) -
+    centre|^2 - r^2 = A s^2 + B s + C inside (0, 1) and below zero.  A
+    tangency or an end exactly on the circle is left to the trace, which
+    rejects it as a tangential or slab-boundary concyclicity."""
+    (a, b), r2 = circle
+    wx, wy = p0[0] - a, p0[1] - b
+    vx, vy = p1[0] - p0[0], p1[1] - p0[1]
+    A = vx * vx + vy * vy
+    B = 2 * (vx * wx + vy * wy)
+    C = wx * wx + wy * wy - r2
+    q0, q1 = C, A + B + C
+    return (q0 > 0) != (q1 > 0) or (q0 > 0 and 0 < -B < 2 * A and B * B > 4 * A * C)
 
 
 def full_scan_trace_events(traj, k):
