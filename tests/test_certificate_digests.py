@@ -3,8 +3,11 @@
 Each row is an input, a search budget and the sha256 of ``to_json()`` of its
 certificate, recorded before the parity layer stopped enumerating spans.  The
 corpus covers n = 4..8 with pure-braid input (both k) and ``--gnk`` input in
-k = 3 and k = 4, at budgets 0, 1 and 2.  A change that alters any certificate
-byte, including key order or formatting, fails here.
+k = 3 and k = 4, at budgets 0, 1 and 2.  The last rows, recorded later, cover
+the edges: n = 2 (no context, no image), n = 3 (one context), n = 12 with
+braced letters, and ``--gnk`` input at n = 10 with two-digit indices.  A
+change that alters any certificate byte, including key order or formatting,
+fails here.
 """
 
 import hashlib
@@ -62,6 +65,14 @@ CORPUS = [
     ("gnk", 8, 4, "a5678 a1247 a1467 a1457 a1247 a1457 a1467 a5678", 0, "18643caf993114d226b6f968643dc96d6acacdb87fecb51ca50883ba157a907d"),
     ("gnk", 8, 4, "a5678 a1247 a1467 a1457 a1247 a1457 a1467 a5678", 1, "2b43e8072cc169d4dcb17ae2efffab70037492524d59eb088fc885e8ea699eed"),
     ("gnk", 8, 4, "a5678 a1247 a1467 a1457 a1247 a1457 a1467 a5678", 2, "218b1c3387ff1b877ffce446b34dfcc263fa451e5a71cf15431d53c8de9fbf4a"),
+    ("pb", 2, 3, "b12", 0, "cdec1ef426e159fee8a4c173ca947576d4269a120435ce893418d90428ffb05f"),
+    ("pb", 2, 3, "b12", 2, "02f3d10664ce8f95224be19415ddaf67a12ccfdf790dfa3fa71c052a7b4b0cf5"),
+    ("pb", 3, 3, "b13 B23 b12", 0, "51a075cdaa19179931bec31cc03bc893ab159c5fe9afeb0a995167ef2d9b7878"),
+    ("pb", 3, 3, "b13 B23 b12", 2, "e81d6deff3c5930fce94611cbe837d30a329104687cad05e3a53ea02f17033ff"),
+    ("pb", 12, 3, "b{1,12} B{3,10} b{2,11}", 0, "4ad1f7043aa82ad2141cb6a1a582639e1cab1b49da99e937d6c4d966fcee085d"),
+    ("pb", 12, 3, "b{1,12} B{3,10} b{2,11}", 2, "d8d93691c65718dab2fa1cd287b100b17bccdf7bfaebc701b8b81df11969a038"),
+    ("gnk", 10, 3, "a{2,6,10} a{3,5,6} a{2,5,6} a{3,5,6} a{3,5,10} a{2,6,10} a{3,5,10} a{2,5,6}", 0, "111e81336c9f7f6a63c3dc5914d9e53aed5bf5826b20335f924b0a3bd54a0acb"),
+    ("gnk", 10, 3, "a{2,6,10} a{3,5,6} a{2,5,6} a{3,5,6} a{3,5,10} a{2,6,10} a{3,5,10} a{2,5,6}", 2, "1d2c9f19baec18e1b0f4968ead2a933e9716db69c1a9bd14f5e1da2931382639"),
 ]
 
 
