@@ -154,10 +154,9 @@ def parse_gnk_word(text: str, n: int, k: int) -> GnkWord:
 
 
 def format_gnk_letter(m: Iterable[int], n: int) -> str:
-    m = tuple(m)
     if n <= 9:
-        return "a" + "".join(str(x) for x in m)
-    return "a{" + ",".join(str(x) for x in m) + "}"
+        return "a" + "".join(map(str, m))
+    return "a{" + ",".join(map(str, m)) + "}"
 
 
 def format_gnk_word(word: GnkWord) -> str:

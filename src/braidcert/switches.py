@@ -352,7 +352,13 @@ PiVector = frozenset  # support of an element of Z/2[Z]
 def pi_project(w: HWord) -> PiVector:
     """Natural projection H -> Z/2[Z]: the set of indices with odd letter
     multiplicity.  Invariant under free insertion of f_x f_x pairs."""
-    return frozenset(x for x, c in Counter(w).items() if c % 2)
+    odd: set[ZVec] = set()
+    for x in w:
+        if x in odd:
+            odd.remove(x)
+        else:
+            odd.add(x)
+    return frozenset(odd)
 
 
 def c_max(xi: PiVector, sys: SwitchSystem) -> int:
@@ -376,6 +382,11 @@ def rough_unknotting_bound(w: GnkWord, base: BaseChoice) -> int:
 # Full report over all contexts.
 
 def _context_report(base: BaseChoice, y: HWord, budget: int) -> ContextReport:
+    """The report of one context.  An empty image gets its constant report
+    at once, without a switch system: the general path gives it at every
+    budget (no odd letters, rough bound 0, no switch needed, even length)."""
+    if not y:
+        return ContextReport(base.k, base.m, "", (), 0, 0, True)
     sys = switch_system(base)
     xi = pi_project(y)
     rough = (c_max(xi, sys) + 1) // 2

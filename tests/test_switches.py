@@ -1,15 +1,17 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcert.certificates import input_hash, persist
+from braidcert.certificates import ContextReport, input_hash, persist
 from braidcert.gnk import GnkWord, c_full, parse_gnk_word, relators
-from braidcert.parity import BaseChoice, all_bases, phi, phi_all_bases
+from braidcert.parity import BaseChoice, all_bases, format_hword, format_zvec, phi, phi_all_bases
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
 from braidcert.switches import (
+    _context_report,
     _distance,
     _pairing_cost,
     apply_switch,
@@ -148,6 +150,13 @@ def test_pi_project_examples():
     assert pi_project(phi(BETA, BASE)) == {0, E1 | E2}
     assert pi_project((E1, E1)) == frozenset()
     assert pi_project(()) == frozenset()
+
+
+def test_pi_project_is_the_odd_multiplicity_set():
+    rng = random.Random(5)
+    for _ in range(300):
+        w = tuple(rng.randrange(8) for _ in range(rng.randrange(12)))
+        assert pi_project(w) == {x for x, c in Counter(w).items() if c % 2}
 
 
 def test_pi_invariant_under_pair_insertion():
@@ -344,13 +353,38 @@ def test_feasibility_runs_once_per_context(monkeypatch):
     monkeypatch.setattr(switches, "z_pair", counting_z_pair)
     cert = unknotting_report(parse_pb_word("B67 B36", 7), budget=0)
     assert len(cert.contexts) == 70
-    assert calls["switch_feasibility_necessary"] == 70
+    # a context with an empty image takes the constant report, so only the
+    # 25 nonempty ones reach the switch system and the feasibility check
+    assert sum(1 for c in cert.contexts if c.phi_image) == 25
+    assert calls["switch_system"] == calls["switch_feasibility_necessary"] == 25
     assert calls["apply_switch"] == 0
     # budget 0 reads only Z0, so no pair table is built, and Z0 comes from
     # the block values of k without pricing a single pair
     assert pairs_priced == []
     keyed = [c for c in cert.contexts if c.pi_support]
     assert 0 < len(keyed) < 70
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_empty_image_takes_the_general_report(k):
+    # the constant report of an empty image is what the general path, run
+    # step by step on (), gives on every base at every budget
+    for n in range(k, 9):
+        for base in all_bases(n, k):
+            sys = switch_system(base)
+            xi = pi_project(())
+            for budget in range(7):
+                general = ContextReport(
+                    k=base.k,
+                    base_m=base.m,
+                    phi_image=format_hword((), base),
+                    pi_support=tuple(sorted(format_zvec(x, base) for x in xi)),
+                    rough_bound=(c_max(xi, sys) + 1) // 2,
+                    min_switches=min_switches_witness((), sys, budget)[0],
+                    feasible_necessary=switch_feasibility_necessary((), sys),
+                )
+                assert _context_report(base, (), budget) == general == ContextReport(
+                    k, base.m, "", (), 0, 0, True)
 
 
 # ---------------------------------------------------------------------------
