@@ -9,7 +9,8 @@ violation or an unwritable output path.  Parabola motions are limited to
 n <= 7 (at n = 8, 12 of the 28 generators fail the letter-exact word
 check), so `simulate --kind parabola` and `verify --suite tracer` with
 n >= 8 exit 3 at once.  So does `simulate --kind circle` beyond n = 32, a
-bound on its trace time (0.55 s at n = 32, 3.8 s at n = 64); `verify
+bound on its trace time; `bounds` beyond n = 32, a bound on its memory
+(0.64 GB at n = 32, and more than 3 GB at n = 64); `verify
 --suite relators` beyond n = 9, a bound on its run time (4 s at n = 10,
 k = 4); `geometry --op growth` beyond n = 12 (n = 7 with --case23), whose
 last abscissa would not print in decimal; and `geometry --op order --case
@@ -133,7 +134,17 @@ def cmd_phi(args) -> int:
 # ---------------------------------------------------------------------------
 # bounds
 
+# Largest n of `bounds`: memory grows as C(n, 4) k (n - k) whatever the word.
+# As fresh processes with --budget 0, 10 random letters took 3.1 s and 163 MB
+# peak (VmHWM) at n = 24, 13.5 s and 636 MB at n = 32, and 2 letters 6.6 s
+# and 688 MB at n = 33, while 2 letters at n = 64 ran out of a 3 GB
+# address-space cap (shared 2-vCPU x86 machine, CPython 3.11).
+_BOUNDS_MAX_N = 32
+
+
 def cmd_bounds(args) -> int:
+    if args.n > _BOUNDS_MAX_N:
+        raise InvalidContext(f"bounds needs n <= {_BOUNDS_MAX_N}, got {args.n}")
     if args.gnk:
         w = gnk.parse_gnk_word(args.word, args.n, args.k)
         cert = switches.gnk_report(w, budget=args.budget)

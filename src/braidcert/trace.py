@@ -9,29 +9,33 @@ the end of the slab before.  One determinant gives both events: det [x y 1]
 for collinearity and det [x y x^2+y^2 1] for concyclicity (zero also for
 four collinear points, i.e. a circle through infinity, which counts as an
 event).  Each point's position on a segment is a pair of integer linear
-polynomials in t over its own denominator d > 0.  The first slab, and any
-slab with several moving points, multiplies every position by the slab's
-common denominator and expands the determinant in coordinates relative to
-the last point of the tuple.  A run of later slabs that move one point
-takes each row times d or d^2, (x, y, d) or (x d, y d, x^2+y^2, d^2), and
-dots the mover's row with the cofactors of the static rows, computed once
-per run: the line through two points or the circle through three.  Every
-such scaling multiplies a polynomial by a positive constant, which moves no
-root and flips no sign.  One genericity check serves it and the squared
-distance of every point pair: a polynomial that vanishes on the whole slab,
-at a slab end, or at a repeated root inside the slab (a tangency, or for a
-pair a collision) raises NonGenericTrajectory naming the tuple and slab.
-The roots of the squarefree part are isolated exactly (in closed form up to
-degree 2, else by Sturm chains), events are sorted by exact
-algebraic-number comparison, and simultaneous events are rejected the same
-way.
+polynomials in t over its own denominator d > 0.  A run of slabs that move
+one point, the first slab included, takes each row times d or d^2, (x, y, d)
+or (x d, y d, x^2+y^2, d^2), and dots the mover's row with the cofactors of
+the static rows, computed once per run: the line through two points or the
+circle through three.  On the first slab a tuple of static points is the
+constant determinant of their rows, checked nonzero.  A slab with several
+moving points (or a first slab with none) multiplies every position by the
+slab's common denominator and expands the determinant in coordinates
+relative to the last point of the tuple.  Every such scaling multiplies a
+polynomial by a positive constant, which moves no root and flips no sign.
+One genericity check serves it and the squared distance of every point
+pair: a polynomial that vanishes on the whole slab, at a slab end, or at a
+repeated root inside the slab (a tangency, or for a pair a collision)
+raises NonGenericTrajectory naming the tuple and slab.  The roots of the
+squarefree part are isolated exactly (in closed form up to degree 2, else
+by Sturm chains).  Every root lies strictly inside its slab, so events are
+sorted, by exact algebraic-number comparison, slab by slab, and
+simultaneous events are rejected the same way.
 
 The simulators build the four-stage motion of the generator braid b_ij the
 homomorphisms are read from: i moves in stages 1 and 3, j in stages 2 and 4,
 each in its own quarter of [0, 1].  Both motions go through one four-stage
 assembler and differ only in their stage polylines.  On a circle (trisecants)
 the mover slides along the inside hugging the circle, so it crosses a chord
-exactly when passing one of its endpoints; on the parabola (concyclicities)
+exactly when passing one of its endpoints; its points come from integer
+tangent-half-angle forms, and its inward offset from the closest pair of
+adjacent points.  On the parabola (concyclicities)
 the mover hops over each passed point and otherwise runs at a fixed
 rational height eta above the parabola, its corridors split until no segment
 crosses a static circle.  Both simulators build once, and one shared step is
@@ -48,10 +52,11 @@ with such a circle, or a breakpoint on one, as a degeneracy.  The step returns
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -80,6 +85,10 @@ Point = tuple[Fraction, Fraction]
 Breakpoint = tuple[Fraction, Point]
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Closed piecewise-linear motion of n labelled points over [0, 1]."""
@@ -89,7 +98,7 @@ class Trajectory:
     def __post_init__(self):
         norm = []
         for path in self.paths:
-            fixed = tuple((Fraction(t), (Fraction(x), Fraction(y))) for t, (x, y) in path)
+            fixed = tuple((_fraction(t), (_fraction(x), _fraction(y))) for t, (x, y) in path)
             if len(fixed) < 2 or fixed[0][0] != 0 or fixed[-1][0] != 1:
                 raise DegenerateInput("each path must span times 0..1")
             if any(a[0] >= b[0] for a, b in zip(fixed, fixed[1:])):
@@ -136,19 +145,19 @@ def _slabs(traj: Trajectory) -> Iterator[tuple[Fraction, Fraction, list[tuple[in
     """Every time slab (t0, t1) between consecutive breakpoints of any point,
     with the segment (d, x0, x1, y0, y1) of every point on it.  The slabs
     contain every breakpoint, so each lies inside a single segment of each
-    path."""
+    path; a point moves on to its next segment at the slab that starts
+    where its current one ends, compared by index in the sorted grid."""
     grid = sorted({t for path in traj.paths for t, _ in path})
-    segments = [_segments(path) for path in traj.paths]
+    index = {t: g for g, t in enumerate(grid)}
+    segments = [[(index[seg[0]], seg[1:]) for seg in _segments(path)] for path in traj.paths]
     at = [0] * traj.n
-    for t0, t1 in zip(grid, grid[1:]):
+    for g in range(len(grid) - 1):
         current = []
         for u, segs in enumerate(segments):
-            if segs[at[u]][0] <= t0:
+            if segs[at[u]][0] <= g:
                 at[u] += 1
-            current.append(segs[at[u]][1:])
-        yield t0, t1, current
-
-
+            current.append(segs[at[u]][1])
+        yield grid[g], grid[g + 1], current
 def _det(rows: list[list[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials, by cofactor expansion
     along the first row."""
@@ -273,13 +282,24 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
     changes no sign.  There it was found nonzero: by
     the slab-end check if it was checked in that slab, else, being constant
     there too, by the same argument one slab earlier, down to the first
-    slab.  So it has no event and no degeneracy in this slab.  A run of later
-    slabs with one moving point m keeps every other point, hence its lifted
-    row, fixed, so the static form of each (k-1)-tuple is computed once per
-    run.  Per-point denominators scale each row, and so each determinant and
-    squared distance, by a positive constant against the common-denominator
-    polynomial: the same primitive part, roots, degeneracies and order of
-    checks."""
+    slab.  So it has no event and no degeneracy in this slab.  A run of
+    slabs with one moving point m, the first slab included, keeps every
+    other point, hence its lifted row, fixed, so the static form of each
+    (k-1)-tuple is computed once per run.  On the first slab a tuple without
+    m is a constant determinant of its lifted rows, checked nonzero in its
+    place in the combinations order.  Per-point denominators scale each
+    row, and so each determinant and squared distance, by a positive
+    constant against the common-denominator polynomial: the same primitive
+    part, roots, degeneracies and order of checks.
+
+    Events are sorted, and checked for simultaneity, per slab.  Lemma: every
+    root lies strictly inside its slab, since both end signs were checked
+    nonzero, and the slabs are disjoint and in time order.  So the
+    concatenation of the per-slab sorts is the sort of all events (each
+    stable, with equal roots in the same slab), and two events of different
+    slabs are never simultaneous.  The first simultaneity found is raised
+    after the last slab, as a sort of all events would find it only
+    then."""
     if k not in (3, 4):
         raise InvalidContext(f"events are defined for k in {{3, 4}}, got {k}")
     if traj.n < k:
@@ -289,49 +309,62 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
                  "two points coincide at a slab boundary", "two points collide")
     tuple_msgs = (f"{kind} holds on a whole slab", f"{kind} at a slab boundary",
                   f"tangential {kind}")
+    by_time = cmp_to_key(lambda a, b: root_compare(a.root, b.root))
     events: list[SecantEvent] = []
+    clash = None
     points = range(1, traj.n + 1)
-    run, forms = None, []
+    run, forms = None, {}
     for s, (t0, t1, segs) in enumerate(_slabs(traj)):
-        moving = {p for p in points if s == 0 or segs[p - 1][2] or segs[p - 1][4]}
+        movers = {p for p in points if segs[p - 1][2] or segs[p - 1][4]}
         for u, v in combinations(points, 2):
-            if u in moving or v in moving:
+            if not s or u in movers or v in movers:
                 # every real root of dx^2 + dy^2 is a double root: a collision
                 (du, ux0, ux1, uy0, uy1), (dv, vx0, vx1, vy0, vy1) = segs[u - 1], segs[v - 1]
                 x0, x1 = dv * ux0 - du * vx0, dv * ux1 - du * vx1
                 y0, y1 = dv * uy0 - du * vy0, dv * uy1 - du * vy1
                 _closed_form_roots((x0 * x0 + y0 * y0, 2 * (x0 * x1 + y0 * y1),
                                     x1 * x1 + y1 * y1), (u, v), t0, t1, *pair_msgs)
-        if s and len(moving) == 1:
-            m, = moving
+        found: list[SecantEvent] = []
+        if len(movers) == 1:
+            m, = movers
             if run != m:
-                run, forms = m, []
+                # a run starts; it always does on the first slab, so the
+                # static rows are there for its tuples without m
+                run, forms = m, {}
+                statics = [_lifted(k, seg)[0] for seg in segs]
                 for rest in combinations([p for p in points if p != m], k - 1):
                     r = sum(p < m for p in rest)
-                    forms.append((rest[:r] + (m,) + rest[r:],
-                                  _static_form([_lifted(k, segs[p - 1])[0] for p in rest], r)))
+                    forms[rest[:r] + (m,) + rest[r:]] = _static_form(
+                        [statics[p - 1] for p in rest], r)
             rows = _lifted(k, segs[m - 1])
-            for tup, form in forms:
+            for tup, form in (forms.items() if s else
+                              ((tup, forms.get(tup)) for tup in combinations(points, k))):
+                if form is None:
+                    *rest, last = (statics[p - 1] for p in tup)
+                    if not sum(map(mul, _static_form(rest, 0), last)):
+                        raise NonGenericTrajectory(tuple_msgs[0], tup, (t0, t1))
+                    continue
                 for root in _closed_form_roots([sum(map(mul, form, row)) for row in rows],
                                                tup, t0, t1, *tuple_msgs):
-                    events.append(SecantEvent(kind, tup, root))
-            continue
-        run, den = None, lcm(*(seg[0] for seg in segs))
-        coeffs = [(poly((x0 * f, x1 * f)), poly((y0 * f, y1 * f)))
-                  for d, x0, x1, y0, y1 in segs for f in (den // d,)]
-        for tup in combinations(points, k):
-            if moving.isdisjoint(tup):
-                continue
-            sf = _generic_part(_event_poly([coeffs[p - 1] for p in tup]), tup, t0, t1,
-                               *tuple_msgs)
-            for root in isolate_roots(sf, t0, t1):
-                events.append(SecantEvent(kind, tup, root))
-    events.sort(key=cmp_to_key(lambda a, b: root_compare(a.root, b.root)))
-    for a, b in zip(events, events[1:]):
-        if root_compare(a.root, b.root) == 0:
-            raise NonGenericTrajectory(
-                "simultaneous events", a.participants + b.participants,
-                (a.root.lo, a.root.hi))
+                    found.append(SecantEvent(kind, tup, root))
+        else:
+            run, den = None, lcm(*(seg[0] for seg in segs))
+            coeffs = [(poly((x0 * f, x1 * f)), poly((y0 * f, y1 * f)))
+                      for d, x0, x1, y0, y1 in segs for f in (den // d,)]
+            for tup in combinations(points, k):
+                if s and movers.isdisjoint(tup):
+                    continue
+                sf = _generic_part(_event_poly([coeffs[p - 1] for p in tup]), tup, t0, t1,
+                                   *tuple_msgs)
+                for root in isolate_roots(sf, t0, t1):
+                    found.append(SecantEvent(kind, tup, root))
+        found.sort(key=by_time)
+        clash = clash or next((NonGenericTrajectory(
+            "simultaneous events", a.participants + b.participants, (a.root.lo, a.root.hi))
+            for a, b in pairwise(found) if root_compare(a.root, b.root) == 0), None)
+        events += found
+    if clash:
+        raise clash
     return events
 
 
@@ -409,8 +442,8 @@ def _validated_motion(kind: str, i: int, j: int, k: int, build: Callable[[], Tra
 # Circle motions (k = 3).
 
 def _circle_point(s: Fraction) -> Point:
-    d = 1 + s * s
-    return ((1 - s * s) / d, 2 * s / d)
+    p, q = s.numerator, s.denominator
+    return (Fraction(q * q - p * p, q * q + p * p), Fraction(2 * p * q, q * q + p * p))
 
 
 def _polyline(points: list[Point]) -> list[Point]:
@@ -437,14 +470,20 @@ def _circle_sweep(s_from: Fraction, s_to: Fraction, passed: list[Fraction],
 
 
 def _min_gap_sq(params: Iterable[Fraction]) -> Fraction:
-    pts = [_circle_point(s) for s in params]
-    return min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2))
+    """Least squared distance between the circle points at the parameters.
+    Lemma: each parameter s is positive, so its angle 2 atan(s) lies in
+    (0, pi), as do the differences of two such angles, and the chord
+    2 sin(|difference| / 2) grows with the difference there.  As atan
+    increases, the nearest pair is adjacent in parameter order."""
+    pts = [_circle_point(s) for s in sorted(params)]
+    return min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in pairwise(pts))
 
 
 # Largest n of the circle motions: the trace of b_1n checks C(n, 3) tuples in
 # its first slab and C(n-1, 2) in each of its O(n) later slabs.  It took
-# 0.55 s at n = 32 and 3.8 s at n = 64 (shared 2-vCPU x86 machine, CPython
-# 3.11), so the limit keeps every circle motion under about a second.
+# 0.15-0.20 s at n = 32 and 1.3 s at n = 64 (in process, shared 2-vCPU x86
+# machine, CPython 3.11), so the limit keeps every circle motion well under
+# a second.
 _CIRCLE_MAX_N = 32
 
 
@@ -525,6 +564,13 @@ def _safe_polyline(p0: Point, p1: Point, circles, eta: Fraction,
     return left[:-1] + right
 
 
+def _local_gap(landmarks: Sequence[Fraction], t: Fraction) -> Fraction:
+    """Distance from t, one of the sorted distinct landmarks, to the nearest
+    other one: one of its neighbours in that order."""
+    at = bisect_left(landmarks, t)
+    return min(b - a for a, b in pairwise(landmarks[max(at - 1, 0):at + 2]))
+
+
 def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction],
                       static_ts: list[Fraction]) -> list[Point]:
     """Waypoints of one stage from abscissa start_t to end_t, past the static
@@ -536,19 +582,15 @@ def _mover_stage_path(start_t: Fraction, end_t: Fraction, rounded: list[Fraction
     judged by the trace of the finished motion."""
     circles = _static_circles(static_ts)
     landmarks = sorted(set(static_ts) | {start_t, end_t, *rounded})
-
-    def local_gap(t: Fraction) -> Fraction:
-        return min(abs(t - s) for s in landmarks if s != t)
-
-    eta = min(local_gap(start_t), local_gap(end_t)) / 64
+    eta = min(_local_gap(landmarks, start_t), _local_gap(landmarks, end_t)) / 64
     side = 1 if end_t > start_t else -1
     path = [_parabola_pt(start_t), _parabola_pt(start_t, eta)]
     for t_u in rounded:
-        delta = local_gap(t_u) / 16
-        base_l = _parabola_pt(t_u - side * delta, eta)
-        base_r = _parabola_pt(t_u + side * delta, eta)
+        gap = _local_gap(landmarks, t_u)
+        base_l = _parabola_pt(t_u - side * gap / 16, eta)
+        base_r = _parabola_pt(t_u + side * gap / 16, eta)
         path += _safe_polyline(path[-1], base_l, circles, eta)[1:]
-        path += [_parabola_pt(t_u, local_gap(t_u) / 8 * (2 * abs(t_u) + 1)), base_r]
+        path += [_parabola_pt(t_u, gap / 8 * (2 * abs(t_u) + 1)), base_r]
     path += _safe_polyline(path[-1], _parabola_pt(end_t, eta), circles, eta)[1:]
     path.append(_parabola_pt(end_t))
     return _polyline(path)

@@ -293,6 +293,26 @@ def test_verify_relators_size_limit_fails_fast(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "b{1,64} B{2,7}", "--n", "64"],
+    ["bounds", "b{1,2}", "--n", "1000"],
+    ["bounds", "--gnk", "--n", "300", "--k", "3", "a{1,2,3} a{4,5,6} a{1,2,3} a{4,5,6}"],
+])
+def test_bounds_size_limit_fails_fast(capsys, monkeypatch, argv):
+    # refused before the word is parsed or any context is built
+    calls = []
+    for module, name in ((pbraid, "parse_pb_word"), (gnk, "parse_gnk_word")):
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    n = argv[argv.index("--n") + 1]
+    assert err == f"error: bounds needs n <= 32, got {n}\n"
+    assert calls == []
+
+
 def fresh_process(argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "braidcert.cli", *argv], cwd=cwd,

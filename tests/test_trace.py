@@ -43,6 +43,8 @@ from braidcert.trace import (
 from test_trace_digests import CORPUS as DIGEST_CORPUS
 from trace_oracles import (
     _crosses as oracle_crosses,
+    _local_gap as oracle_local_gap,
+    _min_gap_sq as oracle_min_gap_sq,
     _segments as oracle_segments,
     _slabs as oracle_slabs,
     full_scan_trace_events,
@@ -558,6 +560,52 @@ def test_moving_tuples_trace_like_the_full_scan(case):
     assert _outcome(trace_events, traj, k) == _outcome(full_scan_trace_events, traj, k)
 
 
+@st.composite
+def first_slab_movers(draw):
+    """A closed trajectory of 3-6 points and its k in which point m leaves
+    home at t = 0, so the first slab moves m alone.  The homes lie on the
+    grid -2..2, all distinct, where collinear and concyclic static tuples
+    are common; m runs through one or two waypoints on a grid of thirds, and
+    each other point stays home or leaves it later, as in hand_built."""
+    k = draw(st.sampled_from((3, 4)))
+    grid = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    homes = draw(st.lists(grid, min_size=max(k, 3), max_size=6, unique=True))
+    m = draw(st.integers(0, len(homes) - 1))
+    paths = []
+    for u, home in enumerate(homes):
+        a = 0 if u == m else draw(st.integers(1, 8))
+        if a == 8:
+            paths.append(path_through((0, home), (1, home)))
+            continue
+        b = draw(st.integers(a + 1, 8))
+        vias = draw(st.lists(st.tuples(*[st.integers(-9, 9).map(lambda v: F(v, 3))] * 2),
+                             min_size=1, max_size=2))
+        timed = [(F(a, 8) + F(b - a, 8) * F(s, len(vias) + 1), v)
+                 for s, v in enumerate(vias, start=1)]
+        paths.append(path_through((0, home), *([(F(a, 8), home)] if a else []), *timed,
+                                  *([(F(b, 8), home)] if b < 8 else []), (1, home)))
+    return Trajectory(tuple(paths)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(first_slab_movers())
+@example((Trajectory((static_path((F(0), F(0))), static_path((F(2), F(0))),
+                      path_through((0, (1, 1)), (F(1, 2), (1, 2)), (1, (1, 1))),
+                      static_path((F(1), F(0))))), 3))
+# simultaneous events at t = 1/4, then a boundary trisecant at t = 3/4: the
+# degeneracy of the later slab is raised, as by a sort of all events
+@example((Trajectory((static_path((F(0), F(0))), static_path((F(2), F(0))),
+                      path_through((0, (1, -1)), (F(1, 2), (1, 1)), (F(3, 4), (3, 0)),
+                                   (1, (1, -1))),
+                      static_path((F(0), F(1))), static_path((F(2), F(-1))))), 3))
+def test_first_slab_traces_like_the_full_scan(case):
+    # a first slab with one mover is priced from static forms, its tuples
+    # without the mover checked as constants in their combinations place:
+    # the same events, or the same first degeneracy, as the full scan
+    traj, k = case
+    assert _outcome(trace_events, traj, k) == _outcome(full_scan_trace_events, traj, k)
+
+
 # ---------------------------------------------------------------------------
 # Integer forms against their Fraction oracles.
 
@@ -682,6 +730,31 @@ def test_crosses_decides_as_the_fraction_crosses(case):
     assume(p0 != p1)
     assert trace._crosses(p0, p1, trace._static_circles(ts)) == any(
         oracle_crosses(p0, p1, circle) for circle in _circles(ts))
+
+
+distinct_positives = st.lists(positive_rationals, min_size=2, max_size=8, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_positives)
+def test_min_gap_sq_is_an_adjacent_gap(params):
+    # the chord lemma: on positive parameters the nearest circle points are
+    # adjacent in parameter order
+    assert trace._min_gap_sq(params) == oracle_min_gap_sq(params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_positives, st.data())
+def test_local_gap_is_a_neighbour_gap(landmarks, data):
+    landmarks = sorted(landmarks)
+    t = data.draw(st.sampled_from(landmarks))
+    assert trace._local_gap(landmarks, t) == oracle_local_gap(landmarks, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000))
+def test_circle_point_is_the_half_angle_parametrisation(s):
+    assert trace._circle_point(s) == ((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -929,16 +1002,36 @@ def _motions(kind, n):
 
 @pytest.mark.parametrize("kind, n", [("circle", n) for n in range(4, 9)]
                          + [("parabola", n) for n in (4, 5, 6)])
-def test_later_slabs_have_one_mover(kind, n):
-    # every generator motion moves one point at a time, so each slab after
-    # the first is priced from static forms; a builder that moved two points
-    # at once would send the tracer back to _event_poly and fail here
+def test_every_slab_has_one_mover(kind, n):
+    # every generator motion moves one point at a time, so each slab, the
+    # first included, is priced from static forms; a builder that moved two
+    # points at once would send the tracer back to _event_poly and fail here
     failures = _PARABOLA_FAILURES.get(n, set()) if kind == "parabola" else set()
     motions = _motions(kind, n)
     assert len(motions) == n * (n - 1) // 2 - len(failures)
     for traj in motions:
-        slabs = list(trace._slabs(traj))
-        assert all(len(_movers(coeffs)) == 1 for _, _, coeffs in slabs[1:])
+        assert all(len(_movers(segs)) == 1 for _, _, segs in trace._slabs(traj))
+
+
+def test_generator_motions_take_no_general_path(monkeypatch):
+    # every generator motion, the ones that fail their word check included,
+    # is traced without expanding a determinant or a Sturm isolation
+    calls = []
+    for name in ("_event_poly", "isolate_roots"):
+        original = getattr(trace, name)
+        monkeypatch.setattr(trace, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    built = 0
+    for build, ns in ((simulate_bij_circle, range(3, 9)), (simulate_bij_parabola, (4, 5, 6))):
+        for n in ns:
+            for i, j in combinations(range(1, n + 1), 2):
+                try:
+                    build(i, j, n)
+                except NonGenericTrajectory:
+                    pass
+                built += 1
+    assert built == 83 + 31
+    assert calls == []
 
 
 def test_run_form_poly_is_event_poly():

@@ -9,7 +9,10 @@ so it needs neither the continuity lemma nor the cofactor identity.
 ``_segments`` and ``_slabs`` are the tracer's earlier positions, in
 ``Fraction`` and over one common denominator per slab; ``_crosses`` is the
 parabola builder's earlier corridor test against the ``Fraction`` centre and
-squared radius of ``geometry.circle_through``."""
+squared radius of ``geometry.circle_through``.  ``_min_gap_sq`` and
+``_local_gap`` are the builders' earlier gaps, a minimum over every pair of
+circle points and over every other landmark, which need neither the chord
+lemma nor the sorted order."""
 
 from fractions import Fraction
 from functools import cmp_to_key
@@ -18,7 +21,7 @@ from math import lcm
 
 from braidcert.errors import InvalidContext, NonGenericTrajectory
 from braidcert.roots import isolate_roots, poly, poly_add, poly_mul, poly_sub, root_compare
-from braidcert.trace import SecantEvent, _event_poly, _generic_part
+from braidcert.trace import SecantEvent, _circle_point, _event_poly, _generic_part
 
 
 def _segments(path):
@@ -70,6 +73,18 @@ def _crosses(p0, p1, circle):
     C = wx * wx + wy * wy - r2
     q0, q1 = C, A + B + C
     return (q0 > 0) != (q1 > 0) or (q0 > 0 and 0 < -B < 2 * A and B * B > 4 * A * C)
+
+
+def _min_gap_sq(params):
+    """Least squared distance between the circle points at the parameters,
+    over every pair."""
+    pts = [_circle_point(s) for s in params]
+    return min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2))
+
+
+def _local_gap(landmarks, t):
+    """Distance from t to the nearest other landmark, over all of them."""
+    return min(abs(t - s) for s in landmarks if s != t)
 
 
 def full_scan_trace_events(traj, k):
