@@ -1,31 +1,30 @@
 """Piecewise-linear trajectories, exact event tracers, and generator motions.
 
 A trajectory assigns each of n points a closed polygonal path over the common
-time interval [0, 1], all breakpoints rational.  The tracers scan every time
-slab (between consecutive breakpoints of any point): the first slab checks
-every pair and every 3- or 4-point tuple, a later one only those that hold
-a point moving in it, since the others stay what they were, and nonzero, at
-the end of the slab before.  One determinant gives both events: det [x y 1]
+time interval [0, 1], all breakpoints rational.  The tracer takes a
+trajectory that moves at most one point in each time slab (between
+consecutive breakpoints of any point), as every generator motion built here
+does, and refuses one that moves two or more in a slab with DegenerateInput.
+The first slab checks every pair and every 3- or 4-point tuple, a later one
+only those that hold the point moving in it, since the others stay what
+they were, and nonzero, at the end of the slab before; a later slab that
+moves no point checks none.  One determinant gives both events: det [x y 1]
 for collinearity and det [x y x^2+y^2 1] for concyclicity (zero also for
 four collinear points, i.e. a circle through infinity, which counts as an
 event).  Each point's position on a segment is a pair of integer linear
 polynomials in t over its own denominator d > 0.  A run of slabs that move
-one point, the first slab included, takes each row times d or d^2, (x, y, d)
-or (x d, y d, x^2+y^2, d^2), and dots the mover's row with the cofactors of
-the static rows, computed once per run: the line through two points or the
-circle through three.  On the first slab a tuple of static points is the
-constant determinant of their rows, checked nonzero.  A slab with several
-moving points (or a first slab with none) multiplies every position by the
-slab's common denominator and expands the determinant in coordinates
-relative to the last point of the tuple.  Every such scaling multiplies a
+one point takes each row times d or d^2, (x, y, d) or (x d, y d, x^2+y^2,
+d^2), and dots the mover's row with the cofactors of the static rows,
+computed once per run: the line through two points or the circle through
+three.  On the first slab a tuple of static points is the constant
+determinant of their rows, checked nonzero.  Every such scaling multiplies a
 polynomial by a positive constant, which moves no root and flips no sign.
-One genericity check serves it and the squared distance of every point
-pair: a polynomial that vanishes on the whole slab, at a slab end, or at a
-repeated root inside the slab (a tangency, or for a pair a collision)
-raises NonGenericTrajectory naming the tuple and slab.  The roots of the
-squarefree part are isolated exactly (in closed form up to degree 2, else
-by Sturm chains).  Every root lies strictly inside its slab, so events are
-sorted, by exact algebraic-number comparison, slab by slab, and
+So the squared distance of every pair and the determinant of every tuple
+are polynomials of degree <= 2, checked and solved in closed form: one that
+vanishes on the whole slab, at a slab end, or at a repeated root inside the
+slab (a tangency, or for a pair a collision) raises NonGenericTrajectory
+naming the tuple and slab.  Every root lies strictly inside its slab, so
+events are sorted, by exact algebraic-number comparison, slab by slab, and
 simultaneous events are rejected the same way.
 
 The simulators build the four-stage motion of the generator braid b_ij the
@@ -65,21 +64,9 @@ from .errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTraj
 from .geometry import ParabolaConfig, growth_sequence_case1
 from .gnk import GnkWord
 from .pbraid import PBWord, g4_c, map_pb_to_g3, pb_letter
-from .roots import (
-    Poly,
-    RealRoot,
-    count_roots,
-    isolate_roots,
-    poly,
-    poly_add,
-    poly_mul,
-    poly_sub,
-    primitive,
-    pseudo_divmod,
-    root_compare,
-    sign_at,
-    squarefree_part,
-)
+from .roots import RealRoot, primitive, root_compare
+# not called here: perfbench/spans.py wraps them by name as trace attributes
+from .roots import count_roots, isolate_roots, squarefree_part  # noqa: F401
 
 Point = tuple[Fraction, Fraction]
 Breakpoint = tuple[Fraction, Point]
@@ -158,31 +145,6 @@ def _slabs(traj: Trajectory) -> Iterator[tuple[Fraction, Fraction, list[tuple[in
                 at[u] += 1
             current.append(segs[at[u]][1])
         yield grid[g], grid[g + 1], current
-def _det(rows: list[list[Poly]]) -> Poly:
-    """Determinant of a square matrix of polynomials, by cofactor expansion
-    along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    out: Poly = ()
-    for c, entry in enumerate(rows[0]):
-        term = poly_mul(entry, _det([row[:c] + row[c + 1:] for row in rows[1:]]))
-        out = poly_sub(out, term) if c % 2 else poly_add(out, term)
-    return out
-
-
-def _event_poly(ps: list[tuple[Poly, Poly]]) -> Poly:
-    """Event determinant of k = 3 or 4 moving points, in coordinates relative
-    to the last one: rows (dx, dy) for collinearity, (dx, dy, dx^2+dy^2) for
-    concyclicity.  Equals det [x y 1] and det [x y x^2+y^2 1], sign included."""
-    *rest, (xl, yl) = ps
-    rows = []
-    for x, y in rest:
-        dx, dy = poly_sub(x, xl), poly_sub(y, yl)
-        row = [dx, dy]
-        if len(ps) == 4:
-            row.append(poly_add(poly_mul(dx, dx), poly_mul(dy, dy)))
-        rows.append(row)
-    return _det(rows)
 
 
 def _lifted(k: int, seg: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -213,20 +175,23 @@ def _static_form(rows: Sequence[tuple[int, ...]], r: int) -> tuple[int, ...]:
 
 
 def _closed_form_roots(p: Sequence[int], who: tuple[int, ...], t0: Fraction, t1: Fraction,
+                       ends: Sequence[tuple[int, int, int]],
                        whole: str, boundary: str, repeated: str) -> list[RealRoot]:
-    """isolate_roots(_generic_part(p, ...)) for p = (c0, c1[, c2]) of degree
-    <= 2, from its end signs and discriminant: a double root inside the slab
-    is a repeated one; a line has its root inside when the end signs differ;
-    with signs read as if c2 > 0, a quadratic has then one root inside (the
-    smaller if p(t0) > 0), none if both ends are negative, and both if both
-    are positive with the vertex inside."""
+    """The roots inside the slab (t0, t1) of p = (c0, c1[, c2]), of degree
+    <= 2, after rejecting its three degeneracies with their messages: p
+    vanishes on the whole slab, at a slab end, or has a double root inside
+    it.  ends holds (v^2, u v, u^2) for each end u/v of the slab, so its dot
+    product with (c0, c1, c2) is v^2 p(u/v), of the sign of p there.  From
+    the end signs and the discriminant: a line has its root inside when the
+    end signs differ; with signs read as if c2 > 0, a quadratic has then one
+    root inside (the smaller if p(t0) > 0), none if both ends are negative,
+    and both if both are positive with the vertex inside."""
     c0, c1, c2 = (*p, 0, 0)[:3]
     if not (c0 or c1 or c2):
         raise NonGenericTrajectory(whole, who, (t0, t1))
-    u, v = t0.numerator, t0.denominator
-    s0 = c0 * v * v + c1 * u * v + c2 * u * u
-    u, v = t1.numerator, t1.denominator
-    s1 = c0 * v * v + c1 * u * v + c2 * u * u
+    (a0, b0, e0), (a1, b1, e1) = ends
+    s0 = c0 * a0 + c1 * b0 + c2 * e0
+    s1 = c0 * a1 + c1 * b1 + c2 * e1
     if not (s0 and s1):
         raise NonGenericTrajectory(boundary, who, (t0, t1))
     if not c2:
@@ -249,48 +214,35 @@ def _closed_form_roots(p: Sequence[int], who: tuple[int, ...], t0: Fraction, t1:
     return []
 
 
-def _generic_part(p: Poly, who: tuple[int, ...], t0: Fraction, t1: Fraction,
-                  whole: str, boundary: str, repeated: str) -> Poly:
-    """Squarefree part of a slab polynomial, after rejecting the three
-    degeneracies with their messages: p vanishes on the whole slab, at a slab
-    end, or has a repeated root inside it."""
-    slab = (t0, t1)
-    if not p:
-        raise NonGenericTrajectory(whole, who, slab)
-    if sign_at(p, t0) == 0 or sign_at(p, t1) == 0:
-        raise NonGenericTrajectory(boundary, who, slab)
-    sf = squarefree_part(p)
-    if len(sf) != len(p):
-        # the quotient p / sf is a constant times gcd(p, p'), whose
-        # roots are the repeated roots of p
-        g = pseudo_divmod(p, sf)[0]
-        if count_roots(squarefree_part(g), t0, t1) > 0:
-            raise NonGenericTrajectory(repeated, who, slab)
-    return sf
-
-
 def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
     """All generic degeneracy events of the trajectory, sorted by exact time.
 
-    The first slab checks every pair and k-tuple.  A later slab checks only
-    those that hold a point moving in it (a position polynomial of degree
-    >= 1), in the same combinations order, so the first degeneracy raised is
-    the one a scan of every tuple raises.  Lemma (continuity): positions are
-    continuous in time, so a pair or tuple with no moving point in a slab
-    keeps, as a constant, the value its polynomial had at the end of the
-    slab before, up to the positive factor of the denominators, which
-    changes no sign.  There it was found nonzero: by
-    the slab-end check if it was checked in that slab, else, being constant
-    there too, by the same argument one slab earlier, down to the first
-    slab.  So it has no event and no degeneracy in this slab.  A run of
-    slabs with one moving point m, the first slab included, keeps every
-    other point, hence its lifted row, fixed, so the static form of each
-    (k-1)-tuple is computed once per run.  On the first slab a tuple without
-    m is a constant determinant of its lifted rows, checked nonzero in its
-    place in the combinations order.  Per-point denominators scale each
-    row, and so each determinant and squared distance, by a positive
-    constant against the common-denominator polynomial: the same primitive
-    part, roots, degeneracies and order of checks.
+    Contract: at most one point moves in each slab (has a position
+    polynomial of degree >= 1).  The first slab that moves two or more
+    raises DegenerateInput naming the slab and its movers, before any of its
+    pairs or tuples is checked; a degeneracy of an earlier slab is raised
+    first.
+
+    The first slab checks every pair and k-tuple.  A later slab that moves m
+    checks only the pairs and tuples that hold m, in the same combinations
+    order, so the first degeneracy raised is the one a scan of every tuple
+    raises; a later slab that moves no point checks none.  Lemma
+    (continuity): positions are continuous in time, so a pair or tuple with
+    no moving point in a slab keeps, as a constant, the value its
+    polynomial had at the end of the slab before, up to the positive factor
+    of the denominators, which changes no sign.  There it was found nonzero:
+    by the slab-end check if it was checked in that slab, else, being
+    constant there too, by the same argument one slab earlier, down to the
+    first slab.  So it has no event and no degeneracy in this slab.  A run
+    of slabs with mover m, the first slab included, keeps every other point,
+    hence its lifted row, fixed, so the static form of each (k-1)-tuple is
+    computed once per run; a slab that moves no point ends no run.  On the
+    first slab a tuple without a mover is a constant determinant of its
+    lifted rows, checked nonzero in its place in the combinations order.
+    Per-point denominators scale each row, and so each determinant and
+    squared distance, by a positive constant against the common-denominator
+    polynomial: the same primitive part, roots, degeneracies and order of
+    checks.
 
     Events are sorted, and checked for simultaneity, per slab.  Lemma: every
     root lies strictly inside its slab, since both end signs were checked
@@ -313,51 +265,47 @@ def trace_events(traj: Trajectory, k: int) -> list[SecantEvent]:
     events: list[SecantEvent] = []
     clash = None
     points = range(1, traj.n + 1)
-    run, forms = None, {}
+    run = 0  # the current run's mover; 0 is none, so the first slab starts a run
     for s, (t0, t1, segs) in enumerate(_slabs(traj)):
-        movers = {p for p in points if segs[p - 1][2] or segs[p - 1][4]}
-        for u, v in combinations(points, 2):
-            if not s or u in movers or v in movers:
-                # every real root of dx^2 + dy^2 is a double root: a collision
-                (du, ux0, ux1, uy0, uy1), (dv, vx0, vx1, vy0, vy1) = segs[u - 1], segs[v - 1]
-                x0, x1 = dv * ux0 - du * vx0, dv * ux1 - du * vx1
-                y0, y1 = dv * uy0 - du * vy0, dv * uy1 - du * vy1
-                _closed_form_roots((x0 * x0 + y0 * y0, 2 * (x0 * x1 + y0 * y1),
-                                    x1 * x1 + y1 * y1), (u, v), t0, t1, *pair_msgs)
+        movers = [p for p in points if segs[p - 1][2] or segs[p - 1][4]]
+        if len(movers) > 1:
+            raise DegenerateInput(f"time slab [{t0}, {t1}] moves points {tuple(movers)}, "
+                                  "but the tracer takes one moving point per slab")
+        if s and not movers:
+            continue
+        m = movers[0] if movers else None
+        ends = [(t.denominator ** 2, t.numerator * t.denominator, t.numerator ** 2)
+                for t in (t0, t1)]
+        pairs = (((min(m, p), max(m, p)) for p in points if p != m) if s
+                 else combinations(points, 2))
+        for u, v in pairs:
+            # every real root of dx^2 + dy^2 is a double root: a collision
+            (du, ux0, ux1, uy0, uy1), (dv, vx0, vx1, vy0, vy1) = segs[u - 1], segs[v - 1]
+            x0, x1 = dv * ux0 - du * vx0, dv * ux1 - du * vx1
+            y0, y1 = dv * uy0 - du * vy0, dv * uy1 - du * vy1
+            _closed_form_roots((x0 * x0 + y0 * y0, 2 * (x0 * x1 + y0 * y1), x1 * x1 + y1 * y1),
+                               (u, v), t0, t1, ends, *pair_msgs)
+        if run != m:
+            # a run starts, always on the first slab, so the static rows
+            # are there for its tuples without a mover
+            run, forms = m, {}
+            statics = [_lifted(k, seg)[0] for seg in segs]
+            for rest in combinations([p for p in points if p != m], k - 1) if m else ():
+                r = sum(p < m for p in rest)
+                forms[rest[:r] + (m,) + rest[r:]] = _static_form(
+                    [statics[p - 1] for p in rest], r)
+        rows = _lifted(k, segs[m - 1]) if m else None
         found: list[SecantEvent] = []
-        if len(movers) == 1:
-            m, = movers
-            if run != m:
-                # a run starts; it always does on the first slab, so the
-                # static rows are there for its tuples without m
-                run, forms = m, {}
-                statics = [_lifted(k, seg)[0] for seg in segs]
-                for rest in combinations([p for p in points if p != m], k - 1):
-                    r = sum(p < m for p in rest)
-                    forms[rest[:r] + (m,) + rest[r:]] = _static_form(
-                        [statics[p - 1] for p in rest], r)
-            rows = _lifted(k, segs[m - 1])
-            for tup, form in (forms.items() if s else
-                              ((tup, forms.get(tup)) for tup in combinations(points, k))):
-                if form is None:
-                    *rest, last = (statics[p - 1] for p in tup)
-                    if not sum(map(mul, _static_form(rest, 0), last)):
-                        raise NonGenericTrajectory(tuple_msgs[0], tup, (t0, t1))
-                    continue
-                for root in _closed_form_roots([sum(map(mul, form, row)) for row in rows],
-                                               tup, t0, t1, *tuple_msgs):
-                    found.append(SecantEvent(kind, tup, root))
-        else:
-            run, den = None, lcm(*(seg[0] for seg in segs))
-            coeffs = [(poly((x0 * f, x1 * f)), poly((y0 * f, y1 * f)))
-                      for d, x0, x1, y0, y1 in segs for f in (den // d,)]
-            for tup in combinations(points, k):
-                if s and movers.isdisjoint(tup):
-                    continue
-                sf = _generic_part(_event_poly([coeffs[p - 1] for p in tup]), tup, t0, t1,
-                                   *tuple_msgs)
-                for root in isolate_roots(sf, t0, t1):
-                    found.append(SecantEvent(kind, tup, root))
+        for tup, form in (forms.items() if s else
+                          ((tup, forms.get(tup)) for tup in combinations(points, k))):
+            if form is None:
+                *rest, last = (statics[p - 1] for p in tup)
+                if not sum(map(mul, _static_form(rest, 0), last)):
+                    raise NonGenericTrajectory(tuple_msgs[0], tup, (t0, t1))
+                continue
+            for root in _closed_form_roots([sum(map(mul, form, row)) for row in rows],
+                                           tup, t0, t1, ends, *tuple_msgs):
+                found.append(SecantEvent(kind, tup, root))
         found.sort(key=by_time)
         clash = clash or next((NonGenericTrajectory(
             "simultaneous events", a.participants + b.participants, (a.root.lo, a.root.hi))

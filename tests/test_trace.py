@@ -3,8 +3,9 @@ import json
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, pairwise, permutations, product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,7 +30,6 @@ from braidcert.roots import (
 )
 from braidcert.trace import (
     Trajectory,
-    _event_poly,
     _motion_word_g4,
     event_log,
     event_word,
@@ -43,6 +43,8 @@ from braidcert.trace import (
 from test_trace_digests import CORPUS as DIGEST_CORPUS
 from trace_oracles import (
     _crosses as oracle_crosses,
+    _event_poly,
+    _generic_part,
     _local_gap as oracle_local_gap,
     _min_gap_sq as oracle_min_gap_sq,
     _segments as oracle_segments,
@@ -59,6 +61,14 @@ def static_path(p):
 
 def path_through(*timed):
     return tuple((F(t), (F(x), F(y))) for t, (x, y) in timed)
+
+
+def window_path(home, a, b, vias):
+    """Closed path that stays home but for the window [a, b] of [0, 1], in
+    which it runs through the vias, evenly spaced in time."""
+    timed = [(a + (b - a) * F(s, len(vias) + 1), v) for s, v in enumerate(vias, start=1)]
+    return path_through((0, home), *([(a, home)] if a else []), *timed,
+                        *([(b, home)] if b < 1 else []), (1, home))
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +379,20 @@ def test_boundary_event_rejected():
 
 
 def test_simultaneous_events_rejected():
-    # points 3 and 4 cross the line of 1, 2 at the same moment
+    # point 5 crosses the lines of 1, 2 and of 3, 4 where they meet, at
+    # (1, 0), so both trisecants hold at t = 1/4
     traj = Trajectory((
         static_path((F(0), F(0))),
         static_path((F(2), F(0))),
+        static_path((F(0), F(1))),
+        static_path((F(2), F(-1))),
         path_through((0, (1, 1)), (F(1, 2), (1, -1)), (1, (1, 1))),
-        path_through((0, (3, 1)), (F(1, 2), (3, -1)), (1, (3, 1))),
     ))
     with pytest.raises(NonGenericTrajectory) as err:
         event_word(traj.n, 3, trace_events(traj, 3))
-    assert "simultaneous" in str(err.value)
+    assert err.value.reason == "simultaneous events"
+    assert sorted(err.value.participants) == [1, 2, 3, 4, 5, 5]
+    assert err.value.slab == (F(1, 4), F(1, 4))
 
 
 def test_collision_rejected():
@@ -404,14 +418,17 @@ def test_whole_slab_degeneracy_rejected():
 
 _UNIT_CIRCLE = tuple(static_path((F(x), F(y))) for x, y in ((1, 0), (-1, 0), (0, 1)))
 
-# Every degeneracy the tracer rejects, with the tuple and slab it names.
+# Every degeneracy the tracer rejects, with the tuple and slab it names, and
+# two trajectories its contract refuses, with the message alone.
 _DEGENERACIES = {
-    # orientation determinant s^2 with s = 4t - 1: a double root at t = 1/4
+    # two movers in one slab break the tracer's contract: orientation
+    # determinant s^2 with s = 4t - 1, a double root at t = 1/4, which a
+    # k = 3 determinant with one mover, being linear, cannot have
     "tangential": (3, (
         static_path((F(0), F(0))),
         path_through((0, (-1, 1)), (F(1, 2), (1, 1)), (1, (-1, 1))),
         path_through((0, (-2, 1)), (F(1, 2), (2, 3)), (1, (-2, 1))),
-    ), "tangential trisecant", (1, 2, 3), (F(0), F(1, 2))),
+    ), "time slab [0, 1/2] moves points (2, 3), but the tracer takes one moving point per slab"),
     "collinear": (3, (
         static_path((F(0), F(0))),
         static_path((F(2), F(0))),
@@ -449,15 +466,14 @@ _DEGENERACIES = {
         path_through((0, (1, -2)), (F(1, 2), (0, -1)), (1, (1, -2))),
     ), "concyclic at a slab boundary", (1, 2, 3, 4), (F(0), F(1, 2))),
     # the same kinds after a first slab [0, 1/4] in which nothing moves, so
-    # only the tuples holding a mover are checked.  With one mover a k = 3
-    # determinant is linear and cannot be tangential: "tangential-later" is
-    # the "tangential" motion delayed, two movers in the slab [1/4, 3/4].
-    # The other three have one mover, priced by integer cofactors.
+    # only the tuples holding the mover are checked; "tangential-later" is
+    # the "tangential" motion delayed, two movers in the slab [1/4, 3/4]
     "tangential-later": (3, (
         static_path((F(0), F(0))),
         path_through((0, (-1, 1)), (F(1, 4), (-1, 1)), (F(3, 4), (1, 1)), (1, (-1, 1))),
         path_through((0, (-2, 1)), (F(1, 4), (-2, 1)), (F(3, 4), (2, 3)), (1, (-2, 1))),
-    ), "tangential trisecant", (1, 2, 3), (F(1, 4), F(3, 4))),
+    ), "time slab [1/4, 3/4] moves points (2, 3), but the tracer takes one moving point "
+       "per slab"),
     "circle-tangent-later": (4, _UNIT_CIRCLE + (
         path_through((0, (-1, -1)), (F(1, 4), (-1, -1)), (F(1, 2), (1, -1)), (1, (-1, -1))),
     ), "tangential concyclic", (1, 2, 3, 4), (F(1, 4), F(1, 2))),
@@ -476,7 +492,13 @@ _DEGENERACIES = {
 
 @pytest.mark.parametrize("name", sorted(_DEGENERACIES))
 def test_degeneracy_messages(name):
-    k, paths, reason, participants, slab = _DEGENERACIES[name]
+    k, paths, *expected = _DEGENERACIES[name]
+    if len(expected) == 1:  # a contract error: its message alone
+        with pytest.raises(DegenerateInput) as err:
+            trace_events(Trajectory(paths), k)
+        assert str(err.value) == expected[0]
+        return
+    reason, participants, slab = expected
     with pytest.raises(NonGenericTrajectory) as err:
         trace_events(Trajectory(paths), k)
     assert err.value.reason == reason
@@ -494,52 +516,66 @@ def test_trajectory_validation():
 
 
 def test_random_closed_trajectories_give_even_words():
+    # each of three points leaves home and comes back in its own third of
+    # [0, 1], so no slab moves two points
     rng = random.Random(21)
     found = 0
     attempts = 0
     while found < 12 and attempts < 200:
         attempts += 1
         paths = []
-        for _ in range(3):
+        for u in range(3):
             p0 = (F(rng.randint(-8, 8), 7), F(rng.randint(-8, 8), 5))
             mids = [
                 (F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 11))
                 for _ in range(2)
             ]
-            paths.append(path_through(
-                (0, p0), (F(1, 3), mids[0]), (F(2, 3), mids[1]), (1, p0)))
+            paths.append(window_path(p0, F(u, 3), F(u + 1, 3), mids))
         try:
             traj = Trajectory(tuple(paths))
             word = event_word(traj.n, 3, trace_events(traj, 3))
         except NonGenericTrajectory:
             continue
         found += 1
-        from collections import Counter
-
         assert all(c % 2 == 0 for c in Counter(word.letters).values())
     assert found >= 8
 
 
+def _disjoint_windows(draw, size, start):
+    """Windows (a, b) on the eighths grid start..8 for some of the size
+    points, keyed by point index: consecutive cuts of a drawn set of grid
+    times, some dropped, so two windows share at most an end and slabs that
+    move no point lie before, between and after them."""
+    cuts = sorted(draw(st.lists(st.integers(start, 8), max_size=9 - start, unique=True)))
+    windows = [w for w in pairwise(cuts) if draw(st.booleans())]
+    return dict(zip(draw(st.permutations(range(size))), windows))
+
+
 @st.composite
-def hand_built(draw):
+def hand_built(draw, disjoint):
     """A closed trajectory of 3-6 points and its k: each point stays home or
     leaves it for one window of [0, 1] on an eighths grid, through one or
-    two waypoints.  Windows overlap or not, so later slabs have no mover, one
-    or several."""
+    two waypoints.  Disjoint windows move at most one point per slab, the
+    first slab and later ones moving none or one; other windows overlap or
+    not, so a slab can move several."""
     k = draw(st.sampled_from((3, 4)))
     coord = st.integers(-30, 30)
+    size = draw(st.integers(max(k, 3), 6))
+    if disjoint:
+        windows = _disjoint_windows(draw, size, 0)
+    else:
+        windows = {u: sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2,
+                                           unique=True)))
+                   for u in range(size) if draw(st.booleans())}
     paths = []
-    for _ in range(draw(st.integers(max(k, 3), 6))):
+    for u in range(size):
         home = (draw(coord), draw(coord))
-        if draw(st.booleans()):
+        if u not in windows:
             paths.append(path_through((0, home), (1, home)))
             continue
-        a, b = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)))
+        a, b = windows[u]
         vias = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=2))
-        timed = [(F(a, 8) + F(b - a, 8) * F(s, len(vias) + 1), v)
-                 for s, v in enumerate(vias, start=1)]
-        paths.append(path_through((0, home), *([(F(a, 8), home)] if a else []), *timed,
-                                  *([(F(b, 8), home)] if b < 8 else []), (1, home)))
+        paths.append(window_path(home, F(a, 8), F(b, 8), vias))
     return Trajectory(tuple(paths)), k
 
 
@@ -549,10 +585,18 @@ def _outcome(tracer, traj, k):
                 for ev in tracer(traj, k)]
     except NonGenericTrajectory as err:
         return err.reason, err.participants, err.slab
+    except DegenerateInput as err:
+        return str(err)
 
 
 @settings(max_examples=150, deadline=None)
-@given(hand_built())
+@given(hand_built(disjoint=True))
+# nothing moves in the first slab [0, 1/8], nor in [1/4, 1/2] between the
+# two legs of point 3's run, nor after it
+@example((Trajectory((static_path((F(0), F(0))), static_path((F(2), F(0))),
+                      path_through((0, (1, 1)), (F(1, 8), (1, 1)), (F(1, 4), (1, -1)),
+                                   (F(1, 2), (1, -1)), (F(5, 8), (1, 1)), (1, (1, 1))),
+                      static_path((F(3), F(5))))), 3))
 def test_moving_tuples_trace_like_the_full_scan(case):
     # the same events, or the same first degeneracy, as checking every pair
     # and tuple of every slab through _event_poly
@@ -560,30 +604,59 @@ def test_moving_tuples_trace_like_the_full_scan(case):
     assert _outcome(trace_events, traj, k) == _outcome(full_scan_trace_events, traj, k)
 
 
+def _first_crowded_slab(traj):
+    """(t0, t1, movers) of the first slab of the full scan's positions that
+    moves two or more points, or None."""
+    for t0, t1, coeffs in oracle_slabs(traj):
+        movers = tuple(p for p, xy in enumerate(coeffs, start=1) if any(len(c) > 1 for c in xy))
+        if len(movers) > 1:
+            return t0, t1, movers
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_built(disjoint=False))
+def test_several_movers_in_a_slab_are_refused(case):
+    # the first slab that moves two or more points raises DegenerateInput,
+    # unless the full scan finds a degeneracy in an earlier slab, which is
+    # raised instead; with no such slab the trace is the full scan's
+    traj, k = case
+    expected = _outcome(full_scan_trace_events, traj, k)
+    crowded = _first_crowded_slab(traj)
+    if crowded:
+        t0, t1, movers = crowded
+        if not (type(expected) is tuple and expected[0] != "simultaneous events"
+                and expected[2][1] <= t0):
+            expected = (f"time slab [{t0}, {t1}] moves points {movers}, "
+                        "but the tracer takes one moving point per slab")
+    assert _outcome(trace_events, traj, k) == expected
+
+
 @st.composite
 def first_slab_movers(draw):
     """A closed trajectory of 3-6 points and its k in which point m leaves
     home at t = 0, so the first slab moves m alone.  The homes lie on the
     grid -2..2, all distinct, where collinear and concyclic static tuples
-    are common; m runs through one or two waypoints on a grid of thirds, and
-    each other point stays home or leaves it later, as in hand_built."""
+    are common; m runs through one or two waypoints on a grid of thirds in
+    its window [0, b], and each other point stays home or leaves it for a
+    window after b, disjoint from the others as in hand_built."""
     k = draw(st.sampled_from((3, 4)))
     grid = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
     homes = draw(st.lists(grid, min_size=max(k, 3), max_size=6, unique=True))
     m = draw(st.integers(0, len(homes) - 1))
+    b = draw(st.integers(1, 8))
+    others = [u for u in range(len(homes)) if u != m]
+    windows = {others[v]: w for v, w in _disjoint_windows(draw, len(others), b).items()}
+    windows[m] = (0, b)
     paths = []
     for u, home in enumerate(homes):
-        a = 0 if u == m else draw(st.integers(1, 8))
-        if a == 8:
+        if u not in windows:
             paths.append(path_through((0, home), (1, home)))
             continue
-        b = draw(st.integers(a + 1, 8))
+        a, b = windows[u]
         vias = draw(st.lists(st.tuples(*[st.integers(-9, 9).map(lambda v: F(v, 3))] * 2),
                              min_size=1, max_size=2))
-        timed = [(F(a, 8) + F(b - a, 8) * F(s, len(vias) + 1), v)
-                 for s, v in enumerate(vias, start=1)]
-        paths.append(path_through((0, home), *([(F(a, 8), home)] if a else []), *timed,
-                                  *([(F(b, 8), home)] if b < 8 else []), (1, home)))
+        paths.append(window_path(home, F(a, 8), F(b, 8), vias))
     return Trajectory(tuple(paths)), k
 
 
@@ -655,9 +728,11 @@ def test_closed_form_roots_match_sturm_isolation(case):
     # by root isolation
     t0, t1, coeffs = case
     msgs = ("whole", "boundary", "repeated")
-    closed = _roots_or_raised(lambda: trace._closed_form_roots(coeffs, (1, 2), t0, t1, *msgs))
+    ends = [(t.denominator ** 2, t.numerator * t.denominator, t.numerator ** 2) for t in (t0, t1)]
+    closed = _roots_or_raised(
+        lambda: trace._closed_form_roots(coeffs, (1, 2), t0, t1, ends, *msgs))
     generic = _roots_or_raised(lambda: isolate_roots(
-        trace._generic_part(poly(coeffs), (1, 2), t0, t1, *msgs), t0, t1))
+        _generic_part(poly(coeffs), (1, 2), t0, t1, *msgs), t0, t1))
     assert closed == generic
 
 
@@ -1005,7 +1080,7 @@ def _motions(kind, n):
 def test_every_slab_has_one_mover(kind, n):
     # every generator motion moves one point at a time, so each slab, the
     # first included, is priced from static forms; a builder that moved two
-    # points at once would send the tracer back to _event_poly and fail here
+    # points at once would be refused by the tracer and fail here
     failures = _PARABOLA_FAILURES.get(n, set()) if kind == "parabola" else set()
     motions = _motions(kind, n)
     assert len(motions) == n * (n - 1) // 2 - len(failures)
@@ -1015,12 +1090,11 @@ def test_every_slab_has_one_mover(kind, n):
 
 def test_generator_motions_take_no_general_path(monkeypatch):
     # every generator motion, the ones that fail their word check included,
-    # is traced without expanding a determinant or a Sturm isolation
+    # is traced without a Sturm isolation
     calls = []
-    for name in ("_event_poly", "isolate_roots"):
-        original = getattr(trace, name)
-        monkeypatch.setattr(trace, name,
-                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    original = trace.isolate_roots
+    monkeypatch.setattr(trace, "isolate_roots",
+                        lambda *args: calls.append(args) or original(*args))
     built = 0
     for build, ns in ((simulate_bij_circle, range(3, 9)), (simulate_bij_parabola, (4, 5, 6))):
         for n in ns:

@@ -3,8 +3,13 @@
 ``full_scan_trace_events`` is the loop of ``trace.trace_events`` before it
 skipped the pairs and tuples with no moving point and priced one-mover slab
 runs from static line and circle forms: it builds and checks the polynomial
-of every pair and every k-tuple in every slab through ``trace._event_poly``,
-so it needs neither the continuity lemma nor the cofactor identity.
+of every pair and every k-tuple in every slab through ``_event_poly``, so it
+needs neither the continuity lemma nor the cofactor identity.  It takes any
+number of moving points per slab, where ``trace_events`` takes at most one
+and refuses more with ``DegenerateInput``; with several movers a
+determinant can have degree above 2, so ``_generic_part`` checks it through
+``roots.squarefree_part`` and ``roots.count_roots`` and the roots come from
+``roots.isolate_roots``.
 
 ``_segments`` and ``_slabs`` are the tracer's earlier positions, in
 ``Fraction`` and over one common denominator per slab; ``_crosses`` is the
@@ -20,8 +25,65 @@ from itertools import combinations
 from math import lcm
 
 from braidcert.errors import InvalidContext, NonGenericTrajectory
-from braidcert.roots import isolate_roots, poly, poly_add, poly_mul, poly_sub, root_compare
-from braidcert.trace import SecantEvent, _circle_point, _event_poly, _generic_part
+from braidcert.roots import (
+    count_roots,
+    isolate_roots,
+    poly,
+    poly_add,
+    poly_mul,
+    poly_sub,
+    pseudo_divmod,
+    root_compare,
+    sign_at,
+    squarefree_part,
+)
+from braidcert.trace import SecantEvent, _circle_point
+
+
+def _det(rows):
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = ()
+    for c, entry in enumerate(rows[0]):
+        term = poly_mul(entry, _det([row[:c] + row[c + 1:] for row in rows[1:]]))
+        out = poly_sub(out, term) if c % 2 else poly_add(out, term)
+    return out
+
+
+def _event_poly(ps):
+    """Event determinant of k = 3 or 4 moving points, in coordinates relative
+    to the last one: rows (dx, dy) for collinearity, (dx, dy, dx^2+dy^2) for
+    concyclicity.  Equals det [x y 1] and det [x y x^2+y^2 1], sign included."""
+    *rest, (xl, yl) = ps
+    rows = []
+    for x, y in rest:
+        dx, dy = poly_sub(x, xl), poly_sub(y, yl)
+        row = [dx, dy]
+        if len(ps) == 4:
+            row.append(poly_add(poly_mul(dx, dx), poly_mul(dy, dy)))
+        rows.append(row)
+    return _det(rows)
+
+
+def _generic_part(p, who, t0, t1, whole, boundary, repeated):
+    """Squarefree part of a slab polynomial, after rejecting the three
+    degeneracies with their messages: p vanishes on the whole slab, at a slab
+    end, or has a repeated root inside it."""
+    slab = (t0, t1)
+    if not p:
+        raise NonGenericTrajectory(whole, who, slab)
+    if sign_at(p, t0) == 0 or sign_at(p, t1) == 0:
+        raise NonGenericTrajectory(boundary, who, slab)
+    sf = squarefree_part(p)
+    if len(sf) != len(p):
+        # the quotient p / sf is a constant times gcd(p, p'), whose
+        # roots are the repeated roots of p
+        g = pseudo_divmod(p, sf)[0]
+        if count_roots(squarefree_part(g), t0, t1) > 0:
+            raise NonGenericTrajectory(repeated, who, slab)
+    return sf
 
 
 def _segments(path):
