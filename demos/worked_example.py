@@ -13,6 +13,7 @@ from braidcert.parity import BaseChoice, format_hword, format_zvec, phi, psi_let
 from braidcert.switches import (
     apply_switch,
     gnk_report,
+    min_switches,
     min_switches_witness,
     pi_project,
     rough_unknotting_bound,
@@ -42,10 +43,16 @@ print()
 print("projection bound: support", sorted(format_zvec(x, base) for x in pi_project(y)),
       "-> rough bound", rough_unknotting_bound(beta, base))
 
-count, witness = min_switches_witness(y, sys, budget=6)
+count, matching = min_switches_witness(y, sys, budget=6)
 print("exact minimal switches:", count)
+print("witness: an optimal non-crossing matching of the letters, each pair")
+print("priced by its switch distance (the minimum of its two-letter word):")
+for a, b in matching:
+    print(f"  positions {a}, {b}: {format_hword((y[a], y[b]), base)},"
+          f" distance {min_switches((y[a], y[b]), sys)}")
+print("two switches that realise it:")
 state = y
-for pos, i, j in witness:
+for pos, i, j in ((2, 1, 3), (1, 2, 3)):
     state = apply_switch(state, pos, i, j, sys)
     print(f"  switch z{i}{j} at position {pos}: {format_hword(state, base) or '(empty)'}")
 

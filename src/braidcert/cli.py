@@ -10,7 +10,9 @@ n <= 7 (at n = 8, 12 of the 28 generators fail the letter-exact word
 check), so `simulate --kind parabola` and `verify --suite tracer` with
 n >= 8 exit 3 at once.  So does `simulate --kind circle` beyond n = 32, a
 bound on its trace time; `bounds` beyond n = 32, a bound on its memory
-(0.64 GB at n = 32, and more than 3 GB at n = 64); `verify
+(0.64 GB at n = 32, and more than 3 GB at n = 64); `map` beyond n = 32 as
+well, a bound on its image length (seconds at n = 128); `phi` beyond
+n = 10000, a bound on its n^2 memory (4 GB at n = 10^5); `verify
 --suite relators` beyond n = 9, a bound on its run time (4 s at n = 10,
 k = 4); `geometry --op growth` beyond n = 12 (n = 7 with --case23), whose
 last abscissa would not print in decimal; and `geometry --op order --case
@@ -110,7 +112,21 @@ def cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 # map
 
+# Largest n of `map` and `bounds`, which maps the same images for its images
+# field.  `map` grows with the image: that of b{1,n} has 2700 letters at
+# n = 16 and 26908 at n = 32, k = 4.  As fresh processes, it took 0.2 s at
+# n = 32, 1.1 s at n = 64 and 8.2 s (339 MB peak) at n = 128, and at
+# n = 3000, k = 3 ran out of a 2 GB address-space cap.  `bounds` grows as
+# C(n, 4) k (n - k) whatever the word: with --budget 0, 10 random letters
+# took 3.1 s and 163 MB peak (VmHWM) at n = 24, 13.5 s and 636 MB at
+# n = 32, and 2 letters 6.6 s and 688 MB at n = 33, while 2 letters at
+# n = 64 ran out of a 3 GB cap (shared 2-vCPU x86 machine, CPython 3.11).
+_IMAGES_MAX_N = 32
+
+
 def cmd_map(args) -> int:
+    if args.n > _IMAGES_MAX_N:
+        raise InvalidContext(f"map needs n <= {_IMAGES_MAX_N}, got {args.n}")
     w = pbraid.parse_pb_word(args.word, args.n)
     mapper = pbraid.map_pb_to_g3 if args.k == 3 else pbraid.map_pb_to_g4
     image = mapper(w)
@@ -122,7 +138,17 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 # phi
 
+# Largest n of `phi`.  The psi table of the base holds k (n - k) vectors of
+# (k - 1)(n - k) bits, so memory grows as n^2.  As fresh processes, a
+# two-letter word took 0.26 s and 63 MB peak (VmHWM) at n = 10^4, k = 3 and
+# 0.25 s and 102 MB at k = 4; 0.57 s and 378 MB at n = 3 * 10^4, k = 3; and
+# 5.8 s and 3.97 GB at n = 10^5 (shared 2-vCPU x86 machine, CPython 3.11).
+_PHI_MAX_N = 10_000
+
+
 def cmd_phi(args) -> int:
+    if args.n > _PHI_MAX_N:
+        raise InvalidContext(f"phi needs n <= {_PHI_MAX_N}, got {args.n}")
     w = gnk.parse_gnk_word(args.word, args.n, args.k)
     base = _parse_base(args.base, args.n, args.k)
     y = parity.phi(w, base)
@@ -134,17 +160,9 @@ def cmd_phi(args) -> int:
 # ---------------------------------------------------------------------------
 # bounds
 
-# Largest n of `bounds`: memory grows as C(n, 4) k (n - k) whatever the word.
-# As fresh processes with --budget 0, 10 random letters took 3.1 s and 163 MB
-# peak (VmHWM) at n = 24, 13.5 s and 636 MB at n = 32, and 2 letters 6.6 s
-# and 688 MB at n = 33, while 2 letters at n = 64 ran out of a 3 GB
-# address-space cap (shared 2-vCPU x86 machine, CPython 3.11).
-_BOUNDS_MAX_N = 32
-
-
 def cmd_bounds(args) -> int:
-    if args.n > _BOUNDS_MAX_N:
-        raise InvalidContext(f"bounds needs n <= {_BOUNDS_MAX_N}, got {args.n}")
+    if args.n > _IMAGES_MAX_N:
+        raise InvalidContext(f"bounds needs n <= {_IMAGES_MAX_N}, got {args.n}")
     if args.gnk:
         w = gnk.parse_gnk_word(args.word, args.n, args.k)
         cert = switches.gnk_report(w, budget=args.budget)

@@ -92,8 +92,10 @@ class BaseChoice:
         return (self.k - 1) * (self.n - self.k)
 
     def bit(self, p: int, i: int) -> int:
-        """Bit index of e_i in the p-component (i is 1-based, i <= k-1)."""
-        return self.outside.index(p) * (self.k - 1) + (i - 1)
+        """Bit index of e_i in the p-component (i is 1-based, i <= k-1).  The
+        rank of p among the indices outside m is p - 1 less the indices of m
+        below p, which takes O(k) steps, not O(n)."""
+        return (p - 1 - sum(x < p for x in self.m)) * (self.k - 1) + (i - 1)
 
     @cached_property
     def psi(self) -> dict[GeneratorIndex, ZVec]:

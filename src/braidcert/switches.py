@@ -21,8 +21,9 @@ most 1, and the trivial braid has f = 0.
 This module computes f exactly by an interval DP over the non-crossing
 matchings of the image's letters (min_switches_witness): O(L^3) steps for
 an image of length L, each pair priced by a closed-form switch distance
-(_distance).  Next to it sits the cheaper projection bound through the
-group algebra Z/2[Z].
+(_distance), and one DP per context, whose optimal matching is the
+witness.  Next to it sits the cheaper projection bound through the group
+algebra Z/2[Z].
 
 The switch vectors have a fixed shape.  Z splits into one block (Z/2)^(k-1)
 per index p outside m, and psi puts the k letters m - {i} + {p} into block p
@@ -54,10 +55,10 @@ word it is given, from one sparse pass over it (parity.phi_all_bases).
 
 Per-base work is done once per process.  The bases of each (n, k) are
 built once (parity.all_bases), and switch_system builds one system per
-base, so its pair table, its Z0 and its switch distances, each derived on
-first use, serve every later context on that base.  The interval DP of the
-exact minimum runs on flat arrays, with each pair of letters priced once
-(_pairing_cost).
+base, so its Z0 and its switch distances, each derived on first use, serve
+every later context on that base.  No certificate reads the pair table of
+a system, so none calls z_pair.  The interval DP of the exact minimum runs
+on flat arrays, with each pair of letters priced once (_pairing_cost).
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def z_pair(i: int, j: int, base: BaseChoice) -> ZVec:
 @dataclass(frozen=True)
 class SwitchSystem:
     """The switch vectors of one base, each derived from the base on first
-    use: the table of all pairs, read by the exact minimum and apply_switch,
-    and the span Z0 of the pairs inside m, which drives the projection bound.
+    use: the table of all pairs, read by apply_switch only, the span Z0 of
+    the pairs inside m, which drives the projection bound, and the switch
+    distances of the exact minimum.
 
     Z0 is small whatever n.  By the shape of the switch vectors (module
     docstring), z_ij for i, j in m is u = psi_i ^ psi_j repeated in every
@@ -149,10 +151,6 @@ class SwitchSystem:
         i, j = min(i, j), max(i, j)
         return self._lookup[(i, j)]
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(p for p, _ in self.pair_table)
-
     def z0_key(self, x: ZVec) -> ZVec:
         """Canonical representative of the coset x + Z0: its least element."""
         return min(x ^ s for s in self.z0)
@@ -160,9 +158,8 @@ class SwitchSystem:
 
 @cache
 def switch_system(base: BaseChoice) -> SwitchSystem:
-    """The system of a base, built once per base: its pair table, Z0 and
-    switch distances, each derived on first use, last as long as the
-    process."""
+    """The system of a base, built once per base: what it derives on first
+    use lasts as long as the process."""
     return SwitchSystem(base)
 
 
@@ -284,17 +281,20 @@ def min_switches(w: HWord, sys: SwitchSystem, budget: int = 6) -> int | None:
 
 def min_switches_witness(
     w: HWord, sys: SwitchSystem, budget: int = 6
-) -> tuple[int | None, tuple[tuple[int, int, int], ...] | None]:
+) -> tuple[int | None, tuple[tuple[int, int], ...] | None]:
     """Exact minimal number of switches that reduce w to the empty word, with
-    one optimal move sequence, each move a (position, i, j) triple for
-    apply_switch; (None, None) when more than ``budget`` switches are needed.
+    an optimal matching as its witness: sorted (a, b) position pairs of the
+    reduced word, non-crossing, covering every position, whose distances
+    d(x_a ^ x_b) sum to the count; (None, None) when more than ``budget``
+    switches are needed.
 
     The minimum is the interval DP value f of the reduced word (_pairing_cost):
     the least sum of d(x_a ^ x_b) over non-crossing perfect matchings of its
     letters, d the switch distance in Z (_distance).  An odd word has no
     perfect matching and is refused at once.  On an even word f is finite,
     since the z_ij span Z; the budget only decides whether the count is
-    reported.
+    reported.  The matching is read off the DP's own partner table, so one
+    DP serves the count and its witness.
 
     Soundness (f <= true minimum).  Follow the original letters through any
     switch sequence that ends in the empty word.  Each cancellation removes
@@ -315,32 +315,26 @@ def min_switches_witness(
     innermost pair of a matching of cost 0 is two equal neighbours; by
     induction on f, f switches suffice.
 
-    The two together make f exact.  The witness is built by exactly that
-    step, with the DP recomputed after each switch, and the replay checks
-    that the word reaches () in exactly f moves on every answer."""
+    The two together make f exact.  The tests replay that step, with the DP
+    recomputed after each switch, and check that it reaches () in exactly f
+    moves."""
     _check_budget(budget)
     word = reduce_involutive(w)
     if not word:
         return 0, ()
     if budget == 0 or len(word) % 2:
         return None, None
-    d = _distance(sys)
-    count, partner = _pairing_cost(word, d)
+    count, partner = _pairing_cost(word, _distance(sys))
     if count > budget:
         return None, None
-    moves: list[tuple[int, int, int]] = []
-    for left in range(count - 1, -1, -1):
-        p, end = 0, len(word)
-        while partner[p, end] != p + 1:
-            p, end = p + 1, partner[p, end]
-        x = word[p] ^ word[p + 1]
-        i, j = next(pair for pair, z in sys.pair_table if z and d(x ^ z) < d(x))
-        moves.append((p, i, j))
-        word = apply_switch(word, p, i, j, sys)
-        f, partner = _pairing_cost(word, d)
-        assert f == left, f"switch replay left cost {f}, expected {left}"
-    assert word == (), f"switch replay ended at {word}"
-    return count, tuple(moves)
+    matching, stack = [], [(0, len(word))]
+    while stack:
+        i, j = stack.pop()
+        if i < j:
+            k = partner[i, j]
+            matching.append((i, k))
+            stack += [(i + 1, k), (k + 1, j)]
+    return count, tuple(sorted(matching))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,25 @@
 ``bfs_min_switches_witness`` is the breadth-first search over reduced words
 that ``switches.min_switches_witness`` replaced: exponential in the budget,
 but it tries every switch at every position, so it needs no argument about
-matchings.  ``dict_pairing_cost`` is the interval DP of
-``switches._pairing_cost`` as it was first written, on a dict keyed by
-intervals with one ``min`` over ``(cost, k)`` per cell, so the least optimal
-partner wins ties.  The span helpers enumerate a subspace element by element
+matchings.  ``realise_matching`` replays the realisation step of the
+``min_switches_witness`` docstring, one switch on an innermost pair of an
+optimal matching and the DP rerun after each, and ``check_matching``
+checks a matching witness against its word.  ``dict_pairing_cost`` is the
+interval DP of ``switches._pairing_cost`` as it was first written, on a
+dict keyed by intervals with one ``min`` over ``(cost, k)`` per cell, so
+the least optimal partner wins ties.  The span helpers enumerate a subspace element by element
 from its generators: ``z0_span`` and ``full_span`` read the switch vectors
 of the pair table, not the library's own Z0, so they check it
 independently."""
 
-from braidcert.switches import apply_switch, switch_feasibility_necessary
+from itertools import combinations
+
+from braidcert.switches import (
+    _distance,
+    _pairing_cost,
+    apply_switch,
+    switch_feasibility_necessary,
+)
 from braidcert.words import reduce_involutive
 
 
@@ -23,7 +33,7 @@ def bfs_min_switches_witness(w, sys, budget):
         return 0, ()
     if not switch_feasibility_necessary(start, sys):
         return None, None
-    moves = sorted(set(sys.pairs))
+    moves = sorted(pair for pair, _ in sys.pair_table)
     seen = {start: None}
     frontier = [start]
     for depth in range(1, budget + 1):
@@ -47,6 +57,44 @@ def bfs_min_switches_witness(w, sys, budget):
         if not frontier:
             break
     return None, None
+
+
+def realise_matching(w, sys):
+    """The switches that kill the even word ``w``, one (position, i, j) move
+    per unit of its DP value f: each switches the left letter of an
+    innermost pair of the DP's optimal matching by the first pair-table
+    vector that brings it closer to its partner, and the DP is rerun after
+    each switch.  Asserts that the value drops by one per move and that the
+    word reaches ()."""
+    word = reduce_involutive(w)
+    d = _distance(sys)
+    count, partner = _pairing_cost(word, d)
+    moves = []
+    for left in range(count - 1, -1, -1):
+        p, end = 0, len(word)
+        while partner[p, end] != p + 1:
+            p, end = p + 1, partner[p, end]
+        x = word[p] ^ word[p + 1]
+        i, j = next(pair for pair, z in sys.pair_table if z and d(x ^ z) < d(x))
+        moves.append((p, i, j))
+        word = apply_switch(word, p, i, j, sys)
+        f, partner = _pairing_cost(word, d)
+        assert f == left, f"switch replay left cost {f}, expected {left}"
+    assert word == (), f"switch replay ended at {word}"
+    return tuple(moves)
+
+
+def check_matching(w, sys, count, matching):
+    """Assert that ``matching`` is a sorted non-crossing perfect matching of
+    the positions of the reduced ``w`` whose pair distances sum to
+    ``count``."""
+    word = reduce_involutive(w)
+    assert matching == tuple(sorted(matching))
+    assert all(a < b for a, b in matching)
+    assert sorted(p for pair in matching for p in pair) == list(range(len(word)))
+    assert not any(c < b < e for (a, b), (c, e) in combinations(matching, 2))
+    d = _distance(sys)
+    assert sum(d(word[a] ^ word[b]) for a, b in matching) == count
 
 
 def span_by_enumeration(vectors):

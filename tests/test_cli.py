@@ -313,6 +313,34 @@ def test_bounds_size_limit_fails_fast(capsys, monkeypatch, argv):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["map", "b{1,3000}", "--n", "3000", "--k", "3"], 32),
+    (["map", "b{1,33}", "--n", "33", "--k", "4"], 32),
+    (["phi", "a{1,2,4} a{1,2,4}", "--n", "10001", "--k", "3"], 10000),
+    (["phi", "a{1,2,3,5} a{1,2,3,5}", "--n", "1000000", "--k", "4"], 10000),
+])
+def test_map_and_phi_size_limits_fail_fast(capsys, monkeypatch, argv, limit):
+    # refused before the word is parsed
+    calls = []
+    for module, name in ((pbraid, "parse_pb_word"), (gnk, "parse_gnk_word")):
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {argv[0]} needs n <= {limit}, got {argv[argv.index('--n') + 1]}\n"
+    assert calls == []
+
+
+def test_map_and_phi_at_their_size_limits(capsys):
+    assert cli._IMAGES_MAX_N == 32 and cli._PHI_MAX_N == 10000
+    code, out, _ = run(capsys, "map", "b{1,32}", "--n", "32", "--k", "3")
+    assert code == 0 and out.endswith("even: true\n")
+    code, out, _ = run(capsys, "phi", "a{1,2,3} a{1,2,4} a{1,2,3} a{1,2,4}", "--n", "10000")
+    assert code == 0 and out.endswith("complexity: 2\n")
+
+
 def fresh_process(argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "braidcert.cli", *argv], cwd=cwd,

@@ -75,6 +75,18 @@ def test_psi_table_matches_definition():
                     assert psi_letter(letter, base) == psi_by_definition(letter, base)
 
 
+def test_bit_is_the_rank_outside_the_base():
+    # the closed-form rank against a search of the outside indices
+    for n in range(2, 9):
+        for k in (2, 3, 4):
+            if k > n:
+                continue
+            for base in all_bases(n, k):
+                for rank, p in enumerate(base.outside):
+                    for i in range(1, k):
+                        assert base.bit(p, i) == rank * (k - 1) + i - 1
+
+
 def test_psi_letter_generic_base():
     base = BaseChoice(5, 3, (2, 3, 5))
     assert base.outside == (1, 4)

@@ -30,8 +30,10 @@ from braidcert.words import reduce_involutive
 from switch_oracles import (
     bfs_min_switches_witness,
     c_z_count,
+    check_matching,
     dict_pairing_cost,
     full_span,
+    realise_matching,
     span_by_enumeration,
     z0_span,
 )
@@ -60,7 +62,8 @@ def test_z_pair_examples():
 def test_switch_system_spans():
     assert z0_span(SYS) == (0, E1, E2, E1 | E2)  # pairs inside m span everything
     assert full_span(SYS) == (0, E1, E2, E1 | E2)
-    assert SYS.pairs == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    assert tuple(pair for pair, _ in SYS.pair_table) == (
+        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
 def test_apply_switch_worked_example():
@@ -75,7 +78,7 @@ def test_apply_switch_adjacent_collapse():
     # switching one of two adjacent letters so they become equal kills both
     w = (E1, E2)
     z = E1 ^ E2
-    pair = next(p for p in SYS.pairs if SYS.z(*p) == z)
+    pair = next(p for p, zp in SYS.pair_table if zp == z)
     assert apply_switch(w, 0, *pair, SYS) == ()
 
 
@@ -119,13 +122,12 @@ def test_switch_vectors_are_block_local_or_diagonal():
 
 def test_min_switches_examples():
     assert min_switches((), SYS) == 0
-    count, witness = min_switches_witness(phi(BETA, BASE), SYS, budget=6)
-    assert (count, witness) == (2, ((0, 1, 4), (0, 1, 3)))
-    # replaying the witness trivialises the word
-    w = phi(BETA, BASE)
-    for pos, i, j in witness:
-        w = apply_switch(w, pos, i, j, SYS)
-    assert w == ()
+    y = phi(BETA, BASE)
+    # y = f0 f_e1 f_(e1+e2) f_e1: each neighbour pair is one switch apart
+    assert min_switches_witness(y, SYS, budget=6) == (2, ((0, 1), (2, 3)))
+    check_matching(y, SYS, 2, ((0, 1), (2, 3)))
+    # the realisation oracle kills the word in two switches of its own
+    assert realise_matching(y, SYS) == ((0, 1, 4), (0, 1, 3))
 
 
 def test_min_switches_budget_exceeded():
@@ -142,7 +144,7 @@ def test_switches_never_increase_length():
         if not w:
             continue
         pos = rng.randrange(len(w))
-        i, j = rng.choice(SYS.pairs)
+        (i, j), _ = rng.choice(SYS.pair_table)
         assert len(apply_switch(w, pos, i, j, SYS)) <= len(w)
 
 
@@ -297,24 +299,36 @@ def test_min_switches_matches_bfs_oracle():
             assert min_switches(y, sys, budget) == expect, (y, sys.base.m, budget)
 
 
+def check_witness(y, sys, count, matching):
+    """The matching is an optimal one of cost ``count``, and the realisation
+    oracle kills the word in exactly ``count`` switches."""
+    check_matching(y, sys, count, matching)
+    moves = realise_matching(y, sys)
+    assert len(moves) == count
+    y = reduce_involutive(y)
+    for pos, i, j in moves:
+        y = apply_switch(y, pos, i, j, sys)
+    assert y == ()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=8), st.integers(0, 4))
 def test_min_switches_matches_bfs_on_short_words(letters, budget):
     w = tuple(letters)
     assert min_switches(w, SYS, budget) == bfs_min_switches_witness(w, SYS, budget)[0]
+    count, matching = min_switches_witness(w, SYS, budget)
+    if count is not None:
+        check_witness(w, SYS, count, matching)
 
 
 def test_witness_replays_in_exactly_count_moves():
     for y, sys in CORPUS:
-        count, witness = min_switches_witness(y, sys, 64)
-        assert min_switches_witness(y, sys, 64) == (count, witness)
+        count, matching = min_switches_witness(y, sys, 64)
+        assert min_switches_witness(y, sys, 64) == (count, matching)
         if count is None:
-            assert witness is None
+            assert matching is None
             continue
-        assert len(witness) == count
-        for pos, i, j in witness:
-            y = apply_switch(y, pos, i, j, sys)
-        assert y == ()
+        check_witness(y, sys, count, matching)
 
 
 def test_budget_caps_the_minimum():
@@ -332,8 +346,8 @@ def test_hard_word_minimum():
     y, sys = phi(map_pb_to_g3(w), base), switch_system(base)
     assert len(y) == 10
     assert min_switches(y, sys, 4) is None
-    assert min_switches_witness(y, sys, 5) == (
-        5, ((0, 3, 4), (0, 3, 5), (0, 3, 5), (0, 3, 4), (0, 3, 5)))
+    assert min_switches_witness(y, sys, 5) == (5, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)))
+    check_witness(y, sys, 5, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)))
 
 
 def test_feasibility_runs_once_per_context(monkeypatch):
@@ -607,11 +621,36 @@ def count_contract_calls(monkeypatch):
 def test_reports_call_through_module_attributes(monkeypatch):
     calls = count_contract_calls(monkeypatch)
     unknotting_report(parse_pb_word("b13 B23", 5), budget=2)
-    assert [name for name, c in calls.items() if c == 0] == ["phi_all_bases"]
+    # no certificate switches a letter: the exact minimum is one DP
+    assert [name for name, c in calls.items() if c == 0] == ["apply_switch", "phi_all_bases"]
     calls = count_contract_calls(monkeypatch)
     gnk_report(BETA, budget=6)
     assert [name for name, c in calls.items() if c == 0] == [
-        "phi_pb_all_bases", "map_pb_to_g3", "map_pb_to_g4"]
+        "apply_switch", "phi_pb_all_bases", "map_pb_to_g3", "map_pb_to_g4"]
+
+
+def test_one_dp_per_context_and_no_pair_table(monkeypatch):
+    import braidcert.switches as switches
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("z_pair", "_pairing_cost"):
+        monkeypatch.setattr(switches, name, counting(name, getattr(switches, name)))
+    # a fresh system per context, so a pair table built by an earlier test
+    # cannot hide a z_pair call
+    monkeypatch.setattr(switches, "switch_system", switches.SwitchSystem)
+    cert = unknotting_report(parse_pb_word("b13 B23 b24 B14", 5), budget=6)
+    nonempty = [c for c in cert.contexts if c.phi_image]
+    assert all(c.feasible_necessary and c.min_switches is not None for c in nonempty)
+    assert max(c.min_switches for c in nonempty) >= 2
+    assert calls["z_pair"] == 0
+    assert calls["_pairing_cost"] == len(nonempty) > 0
 
 
 def test_certificate_serialization_round_trip(tmp_path):
