@@ -27,6 +27,7 @@ from .parity import (
     BaseChoice,
     all_bases,
     act_letter,
+    acts_trivially,
     format_hword,
     format_zvec,
     is_even,

@@ -13,10 +13,11 @@ bound on its trace time; `bounds` beyond n = 32, a bound on its memory
 (0.64 GB at n = 32, and more than 3 GB at n = 64); `map` beyond n = 32 as
 well, a bound on its image length (seconds at n = 128); `phi` beyond
 n = 10000, a bound on its n^2 memory (4 GB at n = 10^5); `verify
---suite relators` beyond n = 9, a bound on its run time (4 s at n = 10,
-k = 4); `geometry --op growth` beyond n = 12 (n = 7 with --case23), whose
-last abscissa would not print in decimal; and `geometry --op order --case
-2|3` beyond n = 7, whose case-2/3 upgrade would run for seconds and more.
+--suite relators` beyond n = 12, a bound on its run time (1.9-2.6 s at
+n = 12, k = 4, and 4.5 s at n = 13); `geometry --op growth` beyond n = 12
+(n = 7 with --case23), whose last abscissa would not print in decimal; and
+`geometry --op order --case 2|3` beyond n = 7, whose case-2/3 upgrade would
+run for seconds and more.
 `geometry` and `reduce --toy` exit 3 with an empty stdout when an input
 number or a result has more than 4300 digits.
 """
@@ -178,27 +179,21 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-_RELATORS_MAX_N = 9
+_RELATORS_MAX_N = 12
 
 
 def _same_phi(u: gnk.GnkWord, v: gnk.GnkWord) -> bool:
     """Whether ``u`` is even and has the parity image of ``v`` on every base
-    of their context.  Both suites compare with an even ``v`` (the empty
-    word, whose images the relators suite computes once per call, or an
-    unreduced map image), and ``psi`` vanishes on even words, so from the
+    of their context.  The tracer suite compares with an even ``v``, an
+    unreduced map image, and ``psi`` vanishes on even words, so from the
     zero state both words end in (0, their image): equal images mean equal
     states.  Each word is walked once for all bases (parity.phi_all_bases),
     which checks its evenness once."""
-    images = _even_phi(u)
-    return images is not None and images == parity.phi_all_bases(v)
-
-
-def _even_phi(u: gnk.GnkWord) -> tuple | None:
-    """The parity images of ``u`` on every base, or None if ``u`` is odd."""
     try:
-        return parity.phi_all_bases(u)
+        images = parity.phi_all_bases(u)
     except NotEvenWord:
-        return None
+        return False
+    return images == parity.phi_all_bases(v)
 
 
 def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
@@ -219,22 +214,32 @@ def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
     For an even word, as every relator and its image is, X = psi(w) = 0, so
     the check is ``phi(w) == ()``.
 
-    Beyond n = 9 the suite is refused before any relator is built.  The
-    limit bounds the run time, which grows with the number of checks:
-    lifted, the whole suite took 1.1 s at n = 10, k = 3 (6870 checks),
-    4.2 s at n = 10, k = 4 (20547 checks) and 1.5 s at n = 11, k = 3.
+    A group relator is checked by parity.acts_trivially, on the bases its
+    letters reach.  A braid relator l = r is checked as
+    ``phi_pb_all_bases(l r^-1, k) == trivial``, without mapping the word.
+    That is the same predicate as ``phi`` of its image on every base: the
+    image map(l r^-1) of a pure braid word is even, since each generator's
+    image A c c A^-1 holds every letter an even number of times, so the
+    image is never refused as odd; and by the lemma of
+    parity.phi_pb_all_bases, its images on every base are those of the
+    letters' cached images, concatenated and freely reduced.
+
+    Beyond n = 12 the suite is refused before any relator is built.  The
+    limit bounds the run time, which grows with the number of checks: as
+    fresh processes, the whole suite took 0.21-0.22 s at n = 9, k = 4 (7287
+    checks), 0.9-1.1 s at n = 11, k = 4 and 1.9-2.6 s (64 MB peak) at
+    n = 12, k = 4 (117062 checks); lifted, it took 4.5 s (110 MB) at
+    n = 13, k = 4 (246389 checks).
     """
     if n > _RELATORS_MAX_N:
         raise InvalidContext(f"the relators suite needs n <= {_RELATORS_MAX_N}, got {n}")
-    trivial = parity.phi_all_bases(gnk.GnkWord(n, k, ()))
-    checks = [(f"group relator {idx} acts trivially", _even_phi(r) == trivial)
+    checks = [(f"group relator {idx} acts trivially", parity.acts_trivially(r))
               for idx, r in enumerate(gnk.relators(n, k))]
-    mapper = pbraid.map_pb_to_g3 if k == 3 else pbraid.map_pb_to_g4
+    trivial = parity.phi_all_bases(gnk.GnkWord(n, k, ()))
     for rel in pbraid.pb_relators(n):
         if rel.tag != "printed_vacuous":
-            image = mapper(rel.left * rel.right.inverse())
             checks.append((f"braid relator {rel.left} = {rel.right} maps to 1",
-                           _even_phi(image) == trivial))
+                           parity.phi_pb_all_bases(rel.left * rel.right.inverse(), k) == trivial))
     return checks
 
 

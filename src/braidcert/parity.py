@@ -31,9 +31,11 @@ with l (it adds psi(a_l) to x there), and fixes the state of every other
 base: there psi(a_l) = 0, since psi is zero on the k-subsets that share
 fewer than k-1 indices with the base.  So the pass visits 1 + k(n-k)
 bases per letter, 17 of 70 at n = 8, k = 4, read off a table built once per
-(n, k) (_incidence).  The image of a pure braid on every base does not even
-need that pass over the whole mapped word: phi_pb_all_bases concatenates
-the per-base images of its letters, each built once per (generator, n, k).
+(n, k) (_incidence), and keeps states only for the bases that the letters
+reach; acts_trivially checks a relator on those bases alone.  The image of
+a pure braid on every base does not even need that pass over the whole
+mapped word: phi_pb_all_bases concatenates the per-base images of its
+letters, each built once per (generator, n, k).
 """
 
 from __future__ import annotations
@@ -195,30 +197,59 @@ def _incidence(n: int, k: int) -> Incidence:
 
 def phi_all_bases(w: GnkWord) -> tuple[HWord, ...]:
     """phi(w, base) for every base, in all_bases(w.n, w.k) order, from one
-    pass over the word, rightmost letter first.
-
-    Each base keeps its state (x, y) of phi_at, with y stored reversed so
-    that prepending f_x is an append; an append that meets an equal last
-    letter cancels instead, exactly as act_letter keeps y reduced.  A letter
-    a_l updates only the bases in its row of _incidence: its own base l,
-    where it acts on y, and the bases m with |l & m| = k-1, where it adds
-    psi(a_l) to x.  Every other base m has |l & m| < k-1, so a_l is none of
-    the letters m - {m_i} + {p} on which psi is nonzero: psi(a_l) = 0 on m,
-    and since a_l is not m either, act_letter leaves m's state as it is.
-    Skipping those bases changes no state, so each image equals phi's."""
+    pass over the word, rightmost letter first.  The pass keeps a y only
+    for the letters' own bases (acts_trivially says why that is enough);
+    every other base has the empty image."""
     _require_even(w)
-    return tuple(tuple(reversed(y)) for y in _sparse_pass(w.letters, _incidence(w.n, w.k)))
+    table = _incidence(w.n, w.k)
+    ys = _sparse_pass(w.letters, table)
+    return tuple(tuple(reversed(ys.get(b, ()))) for b in range(len(table)))
 
 
-def _sparse_pass(letters: Sequence[GeneratorIndex], table: Incidence) -> list[list[ZVec]]:
-    """The y of every base after acting by the letters, rightmost first, on
-    the states (0, ()), each y reversed (phi_all_bases)."""
+def acts_trivially(w: GnkWord) -> bool:
+    """Whether w acts trivially on Z x H at every base, read off the states
+    of the bases that its letters' rows of _incidence reach, and of their y
+    only at the letters' own bases.  False for an odd word.
+
+    Lemma.  After acting by w from (0, ()), every base outside the union of
+    its letters' rows is still at (0, ()), and every base in it is at the
+    state phi_at gives, with y reversed.  Proof, letter by letter.  Each
+    base keeps its state (x, y) of phi_at, with y stored reversed so that
+    prepending f_x is an append; an append that meets an equal last letter
+    cancels instead, exactly as act_letter keeps y reduced.  A letter a_l
+    updates only the bases in its row: its own base l, where it acts on y,
+    and the bases m with |l & m| = k-1, where it adds psi(a_l) to x.  Every
+    other base m has |l & m| < k-1, so a_l is none of the letters
+    m - {m_i} + {p} on which psi is nonzero: psi(a_l) = 0 on m, and since
+    a_l is not m either, act_letter leaves m's state as it is.  So a base
+    that no row reaches keeps (0, ()), and one that is reached sees exactly
+    the letters that move it.  Only at its own base does a letter touch y,
+    so a base that is no letter's own base keeps y = ().
+
+    Each letter a_l changes the length of y at its own base l by one, so y
+    there has the parity of the number of times a_l occurs.  An odd word
+    thus leaves a nonempty y, and the answer is False.  If every y is empty,
+    w is even, so x ends at psi(w) = 0 on every base: w fixes the zero
+    state, and by translation (cli._suite_relators) every start state."""
+    return not any(_sparse_pass(w.letters, _incidence(w.n, w.k)).values())
+
+
+def _sparse_pass(letters: Sequence[GeneratorIndex], table: Incidence) -> dict[int, list[ZVec]]:
+    """The y of each letter's own base, reversed and keyed by base index,
+    after acting by the letters, rightmost first, on the states (0, ()).
+    Only a letter's own base can change its y (acts_trivially), so the pass
+    keeps a y only for those bases; every other base keeps y = ().  The x of
+    every base sits in one flat list of ints, which costs one allocation and
+    makes each of the 1 + k(n-k) updates per letter a list index."""
     xs = [0] * len(table)
-    ys: list[list[ZVec]] = [[] for _ in table]
+    ys: dict[int, list[ZVec]] = {}
     for letter in reversed(letters):
         own, touched = table[letter]
-        x, y = xs[own], ys[own]
-        if y and y[-1] == x:
+        x = xs[own]
+        y = ys.get(own)
+        if y is None:
+            ys[own] = [x]
+        elif y and y[-1] == x:
             y.pop()
         else:
             y.append(x)
@@ -236,7 +267,7 @@ def _generator_phi(i: int, j: int, n: int, k: int) -> tuple[tuple[int, HWord], .
     kept.  Built once per (i, j, n, k)."""
     table = _incidence(n, k)
     ys = _sparse_pass(_generator_image(i, j, n, k)[0], table)
-    return tuple((b, tuple(reversed(ys[b]))) for b, m in enumerate(table)
+    return tuple((b, tuple(reversed(ys.get(b, ())))) for b, m in enumerate(table)
                  if i in m and j in m)
 
 

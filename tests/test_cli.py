@@ -257,6 +257,26 @@ def test_verify_relators_rejects_a_nontrivial_relator(capsys, monkeypatch):
     assert json.loads(out)["failures"] == [name]
 
 
+def test_verify_relators_rejects_a_nontrivial_braid_relator(capsys, monkeypatch):
+    # b12 = b13 is no relation of the pure braid group, and its k = 3 image
+    # b12 b13^-1 acts nontrivially on some base
+    n = 4
+    b12, b13 = (pbraid.PBWord(n, (pbraid.pb_letter(1, j),)) for j in (2, 3))
+    bogus = pbraid.PBRelation(b12, b13, "bogus")
+    pb_relators = pbraid.pb_relators
+
+    def with_bogus(n):
+        return pb_relators(n) + [bogus]
+
+    monkeypatch.setattr(pbraid, "pb_relators", with_bogus)
+    name = "braid relator b12 = b13 maps to 1"
+    assert [c for c in relators_by_enumeration(n, 3) if not c[1]] == [(name, False)]
+    code, out, err = run(capsys, "verify", "--suite", "relators", "--n", str(n), "--k", "3")
+    assert code == 1
+    assert err == ""
+    assert json.loads(out)["failures"] == [name]
+
+
 def test_verify_tracer_rejects_another_image(capsys, monkeypatch):
     # b12's circle trace is compared against the image of b13, whose phi
     # differs from b12's on some base
@@ -285,11 +305,11 @@ def test_verify_relators_size_limit_fails_fast(capsys, monkeypatch):
     relators = gnk.relators
     monkeypatch.setattr(gnk, "relators", lambda *a: calls.append(a) or relators(*a))
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--suite", "relators", "--n", "10", "--k", "4")
+    code, out, err = run(capsys, "verify", "--suite", "relators", "--n", "13", "--k", "4")
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
-    assert err == "error: the relators suite needs n <= 9, got 10\n"
+    assert err == "error: the relators suite needs n <= 12, got 13\n"
     assert calls == []
 
 

@@ -1,14 +1,16 @@
 import random
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcert.errors import InvalidContext, NotEvenWord
-from braidcert.gnk import GnkWord, generators, parse_gnk_word, relators
+from braidcert.gnk import GnkWord, far_commutes, generators, parse_gnk_word, relators
 from braidcert.parity import (
     BaseChoice,
     act_letter,
+    acts_trivially,
     all_bases,
     format_hword,
     format_zvec,
@@ -24,7 +26,14 @@ from braidcert.parity import (
     quadrisecant_lower_bound,
     trisecant_lower_bound,
 )
-from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word
+from braidcert.pbraid import (
+    PBWord,
+    map_pb_to_g3,
+    map_pb_to_g4,
+    parse_pb_word,
+    pb_letter,
+    pb_relators,
+)
 from braidcert.words import reduce_involutive
 
 from test_pbraid import signed_pb_words
@@ -385,3 +394,133 @@ def test_phi_pb_all_bases_needs_k_3_or_4_and_n_at_least_k():
     for w, k in ((PBWord(5, ()), 2), (PBWord(5, ()), 5), (PBWord(3, ()), 4)):
         with pytest.raises(InvalidContext):
             phi_pb_all_bases(w, k)
+
+
+# ---------------------------------------------------------------------------
+# Relators checked on the bases they touch, against phi on every base.
+
+RELATOR_CONTEXTS = [(n, k) for n in range(4, 10) for k in (3, 4)]
+
+
+def trivial_on_every_base(u):
+    """The relators suite's check as one pass over every base: u is even and
+    has the empty word's images."""
+    return is_even(u) and phi_all_bases(u) == phi_all_bases(GnkWord(u.n, u.k, ()))
+
+
+@pytest.mark.parametrize("n,k", RELATOR_CONTEXTS)
+def test_acts_trivially_on_every_relator(n, k):
+    assert all(acts_trivially(r) and trivial_on_every_base(r) for r in relators(n, k))
+
+
+@cache
+def subset_relators(n, k):
+    """The (k+1)-subset relators, the only ones with two adjacent letters
+    that neither are equal nor far-commute."""
+    return [r for r in relators(n, k) if len(r.letters) == 2 * (k + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("drop", "append", "swap")), st.data())
+def test_acts_trivially_on_mutated_relators(mutation, data):
+    # dropping or appending a letter makes the word odd; swapping two
+    # adjacent letters that do not commute keeps it even, and nontrivial on
+    # some words.  Only n > k has (k+1)-subset relators.
+    n, k = data.draw(st.sampled_from([(n, k) for n, k in RELATOR_CONTEXTS
+                                      if n > k or mutation != "swap"]))
+    if mutation == "swap":
+        letters = list(data.draw(st.sampled_from(subset_relators(n, k))).letters)
+        t = data.draw(st.integers(0, len(letters) - 2))
+        assert letters[t] != letters[t + 1] and not far_commutes(letters[t], letters[t + 1])
+        letters[t], letters[t + 1] = letters[t + 1], letters[t]
+    else:
+        letters = list(data.draw(st.sampled_from(relators(n, k))).letters)
+        if mutation == "drop":
+            del letters[data.draw(st.integers(0, len(letters) - 1))]
+        else:
+            letters.append(data.draw(st.sampled_from(generators(n, k))))
+    u = GnkWord(n, k, tuple(letters))
+    assert acts_trivially(u) == trivial_on_every_base(u)
+    if mutation != "swap":
+        assert not acts_trivially(u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_BASES_CONTEXTS).flatmap(even_words))
+def test_acts_trivially_on_even_words(w):
+    assert acts_trivially(w) == trivial_on_every_base(w)
+
+
+def image_trivial_on_every_base(w, k):
+    """The braid relator check through the mapped word: its image is even
+    and has the empty word's images on every base."""
+    return trivial_on_every_base((map_pb_to_g3 if k == 3 else map_pb_to_g4)(w))
+
+
+@pytest.mark.parametrize("n,k", RELATOR_CONTEXTS)
+def test_braid_relators_map_to_1_from_their_letters_images(n, k):
+    trivial = ((),) * len(all_bases(n, k))
+    for rel in pb_relators(n):
+        w = rel.left * rel.right.inverse()
+        assert phi_pb_all_bases(w, k) == trivial
+        assert image_trivial_on_every_base(w, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RELATOR_CONTEXTS),
+       st.sampled_from(("drop", "append", "swap", "flip")), st.data())
+def test_braid_relator_check_on_mutated_relators(nk, mutation, data):
+    n, k = nk
+    rel = data.draw(st.sampled_from(pb_relators(n)))
+    letters = list((rel.left * rel.right.inverse()).letters)
+    t = data.draw(st.integers(0, len(letters) - 1))
+    if mutation == "drop":
+        del letters[t]
+    elif mutation == "append":
+        i, j = data.draw(st.sampled_from(list(combinations(range(1, n + 1), 2))))
+        letters.append(pb_letter(i, j, data.draw(st.sampled_from((1, -1)))))
+    elif mutation == "swap":
+        t = min(t, len(letters) - 2)
+        letters[t], letters[t + 1] = letters[t + 1], letters[t]
+    else:
+        letters[t] = letters[t].inverse()
+    w = PBWord(n, tuple(letters))
+    trivial = ((),) * len(all_bases(n, k))
+    assert (phi_pb_all_bases(w, k) == trivial) == image_trivial_on_every_base(w, k)
+
+
+# ---------------------------------------------------------------------------
+# Artin's relation for interleaved strands r < i < s < j (Birman, Braids,
+# Links, and Mapping Class Groups, 1974, Lemma 1.8.2), which pb_relators
+# lacks.
+
+def artin_relator(n, r, i, s, j, sign=1):
+    """b_rs^-sign b_ij b_rs^sign times the inverse of b_rj b_sj b_rj^-1
+    b_sj^-1 b_ij b_sj b_rj b_sj^-1 b_rj^-1; sign = 1 is the relation."""
+    left = ((r, s, -sign), (i, j, 1), (r, s, sign))
+    right = ((r, j, 1), (s, j, 1), (r, j, -1), (s, j, -1), (i, j, 1),
+             (s, j, 1), (r, j, 1), (s, j, -1), (r, j, -1))
+    lw, rw = (PBWord(n, tuple(pb_letter(*l) for l in side)) for side in (left, right))
+    return lw * rw.inverse()
+
+
+def artin_killed(n, k, sign):
+    """Per quadruple r < i < s < j, whether phi kills the relator on every
+    base."""
+    trivial = ((),) * len(all_bases(n, k))
+    return [phi_pb_all_bases(artin_relator(n, *q, sign=sign), k) == trivial
+            for q in combinations(range(1, n + 1), 4)]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 8) for k in (3, 4)])
+def test_artin_interleaved_relation_maps_to_1(n, k):
+    assert all(artin_killed(n, k, 1))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_artin_relation_with_flipped_conjugator_does_not(n):
+    # the k = 4 images tell the conjugator's sign on every quadruple; the
+    # k = 3 images do not
+    assert not any(artin_killed(n, 4, -1))
+    assert all(artin_killed(n, 3, -1))
+
