@@ -12,9 +12,10 @@ n >= 8 exit 3 at once.  So does `simulate --kind circle` beyond n = 32, a
 bound on its trace time; `bounds` beyond n = 32, a bound on its memory
 (0.64 GB at n = 32, and more than 3 GB at n = 64); `map` beyond n = 32 as
 well, a bound on its image length (seconds at n = 128); `phi` beyond
-n = 10000, a bound on its n^2 memory (4 GB at n = 10^5); `verify
---suite relators` beyond n = 12, a bound on its run time (1.9-2.6 s at
-n = 12, k = 4, and 4.5 s at n = 13); `geometry --op growth` beyond n = 12
+n = 100000, a bound on its output of (k-1)(n-k) characters per image
+letter (0.3 MB per letter at n = 10^5, k = 4); `verify --suite relators`
+beyond n = 12, a bound on its run time (1.9-2.6 s at n = 12, k = 4, and
+4.5 s at n = 13); `geometry --op growth` beyond n = 12
 (n = 7 with --case23), whose last abscissa would not print in decimal; and
 `geometry --op order --case 2|3` beyond n = 7, whose case-2/3 upgrade would
 run for seconds and more.
@@ -139,12 +140,17 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 # phi
 
-# Largest n of `phi`.  The psi table of the base holds k (n - k) vectors of
-# (k - 1)(n - k) bits, so memory grows as n^2.  As fresh processes, a
-# two-letter word took 0.26 s and 63 MB peak (VmHWM) at n = 10^4, k = 3 and
-# 0.25 s and 102 MB at k = 4; 0.57 s and 378 MB at n = 3 * 10^4, k = 3; and
-# 5.8 s and 3.97 GB at n = 10^5 (shared 2-vCPU x86 machine, CPython 3.11).
-_PHI_MAX_N = 10_000
+# Largest n of `phi`.  psi is read off each letter (parity.psi_letter), so
+# memory no longer grows with n for its own sake; what grows is the output,
+# (k - 1)(n - k) characters per image letter, and the int of as many bits
+# that each image letter holds.  As fresh processes, a word of four letters
+# with a two-letter image took 0.15-0.19 s and 22 MB peak (VmHWM) at
+# n = 10^5, k = 3 and 4 (0.4 and 0.6 MB of stdout), and, with the limit
+# lifted, 0.17-0.19 s and 31-35 MB at n = 10^6 (4 and 6 MB of stdout).  A
+# 200-letter word with a 34-letter image took 0.19-0.28 s, 41 MB and 10 MB
+# of stdout at n = 10^5, k = 4, and 0.61 s, 219 MB and 102 MB at n = 10^6
+# (shared 2-vCPU x86 machine, CPython 3.11).
+_PHI_MAX_N = 100_000
 
 
 def cmd_phi(args) -> int:

@@ -23,6 +23,11 @@ Z vectors are stored as int bitmasks: bit (rank of p) * (k-1) + (i-1), with
 the indices p outside m taken in ascending order.  H words are tuples of such
 masks, always kept reduced.
 
+psi_letter reads this rule off the letter: its one index p outside m and
+the index of m that it misses give the block and the value.  So psi costs
+O(k^2) steps whatever n, and no base keeps a table of its k(n-k) nonzero
+values.
+
 phi, phi_at and act_letter are the definition, one base at a time.  The
 certificates need the image on every base, and phi_all_bases computes them
 all in one pass over the word.  A letter a_l moves the state of the base
@@ -99,18 +104,6 @@ class BaseChoice:
         below p, which takes O(k) steps, not O(n)."""
         return (p - 1 - sum(x < p for x in self.m)) * (self.k - 1) + (i - 1)
 
-    @cached_property
-    def psi(self) -> dict[GeneratorIndex, ZVec]:
-        """psi of every k-subset that shares k-1 indices with m, keyed by the
-        sorted letter: m - {m_i} + {p} takes the i-th of block_values(k),
-        shifted into block p.  Every other k-subset has psi = 0 and is left
-        out."""
-        table: dict[GeneratorIndex, ZVec] = {}
-        for p in self.outside:
-            for missing, v in zip(self.m, block_values(self.k)):
-                table[tuple(sorted(set(self.m) - {missing} | {p}))] = v << self.bit(p, 1)
-        return table
-
 
 @cache
 def _bases(n: int, k: int) -> tuple[BaseChoice, ...]:
@@ -124,9 +117,17 @@ def all_bases(n: int, k: int) -> list[BaseChoice]:
 
 
 def psi_letter(letter: GeneratorIndex, base: BaseChoice) -> ZVec:
-    """Parity vector of a single generator (zero unless it shares k-1 indices
-    with the base)."""
-    return base.psi.get(tuple(letter), 0)
+    """Parity vector of a single generator, read off the letter in O(k^2)
+    index comparisons, whatever n.  The letter is a sorted k-tuple, as
+    GnkWord stores it.  If exactly one of its indices, p, lies outside m, it
+    is m - {m_t} + {p} for the one index m_t of m that it misses, and psi
+    puts the t-th of block_values(k) into block p.  Every other letter
+    shares fewer than k-1 indices with m, or is m itself, and has psi = 0."""
+    new = [p for p in letter if p not in base.m]
+    if len(new) != 1:
+        return 0
+    t = next(t for t, x in enumerate(base.m) if x not in letter)
+    return block_values(base.k)[t] << base.bit(new[0], 1)
 
 
 def psi_word(w: GnkWord, base: BaseChoice) -> ZVec:
@@ -178,11 +179,11 @@ def phi(w: GnkWord, base: BaseChoice) -> HWord:
 def _incidence(n: int, k: int) -> Incidence:
     """For each letter of the (n, k) group: the index of its own base in
     all_bases(n, k), and the (index, psi value) of every base it shares k-1
-    indices with.  The rows come from the subset arithmetic of
-    BaseChoice.psi, without a BaseChoice per base: on base m, the letter
-    m - {m_i} + {p} takes the i-th of block_values(k), shifted to block p at
-    bit (rank of p outside m) * (k-1).  Only ints and letter tuples are
-    kept, so the table stays small."""
+    indices with.  The rows hold psi_letter(letter, base) for those bases,
+    built the other way round, without a BaseChoice per base: each base m
+    lists its neighbours m - {m_i} + {p}, which take the i-th of
+    block_values(k), shifted to block p at bit (rank of p outside m) *
+    (k-1).  Only ints and letter tuples are kept, so the table stays small."""
     bases = generators(n, k)
     values = block_values(k)
     touched: dict[GeneratorIndex, list[tuple[int, ZVec]]] = {m: [] for m in bases}

@@ -33,7 +33,8 @@ as e_1 .. e_(k-1) and their sum, which add up to 0.  Hence
     z_pq = 0                    for p, q outside m,
     z_ij = psi_i + psi_j        in every block, for i, j in m  (diagonal),
 
-psi_i the block value of the letter missing i (parity.block_values).  The
+psi_i the block value of the letter missing i (parity.block_values).
+z_pair computes z_ij in this form, with no scan over the letters.  The
 block-local vectors alone span Z, so every letter can be switched to every
 other, and the only obstruction to killing a word is odd length.  The block
 values depend on k alone, and so do the span D of their pairwise xors and
@@ -83,9 +84,9 @@ from .parity import (
     phi,
     phi_all_bases,
     phi_pb_all_bases,
+    psi_letter,
     # unused here, but kept as attributes of this module: per-layer tracing
-    # (perfbench/spans.py) wraps switches.psi_letter and the two bounds
-    psi_letter,  # noqa: F401
+    # (perfbench/spans.py) wraps the two bounds
     quadrisecant_lower_bound,  # noqa: F401
     trisecant_lower_bound,  # noqa: F401
 )
@@ -94,22 +95,36 @@ from .words import reduce_involutive
 
 
 def z_pair(i: int, j: int, base: BaseChoice) -> ZVec:
-    """Switch vector of the strand pair {i, j} for the given base: the xor of
-    psi over the k-subsets containing {i, j} (only those sharing k-1 indices
-    with m contribute)."""
+    """Switch vector of the strand pair {i, j} for the given base, the xor of
+    psi over the k-subsets containing {i, j}, in its closed form (module
+    docstring): psi of m - {i} + {j} when i is in m and j is not, 0 when
+    neither is, and psi_i ^ psi_j repeated in every block when both are."""
     if i == j or not (1 <= i <= base.n and 1 <= j <= base.n):
         raise InvalidPair(f"need distinct strands in 1..{base.n}, got ({i}, {j})")
-    out = 0
-    for letter, x in base.psi.items():
-        if i in letter and j in letter:
-            out ^= x
-    return out
+    m = base.m
+    if i in m and j in m:
+        values = block_values(base.k)
+        return _repeat(values[m.index(i)] ^ values[m.index(j)], base)
+    if i in m or j in m:  # the letter m - {i} + {j} or m - {j} + {i}
+        return psi_letter(tuple(sorted(set(m) ^ {i, j})), base)
+    return 0
+
+
+def _offsets(base: BaseChoice) -> range:
+    """The lowest bit of each block of Z, p ascending over the indices
+    outside m: one every k - 1 bits, none when dim = 0."""
+    return range(0, base.dim, max(base.k - 1, 1))
+
+
+def _repeat(u: ZVec, base: BaseChoice) -> ZVec:
+    """u of (Z/2)^(k-1) repeated in every block of Z."""
+    return sum(u << off for off in _offsets(base))
 
 
 @dataclass(frozen=True)
 class SwitchSystem:
     """The switch vectors of one base, each derived from the base on first
-    use: the table of all pairs, read by apply_switch only, the span Z0 of
+    use: the table of all pairs, which no certificate reads, the span Z0 of
     the pairs inside m, which drives the projection bound, and the switch
     distances of the exact minimum.
 
@@ -128,28 +143,18 @@ class SwitchSystem:
                      for i, j in combinations(range(1, self.base.n + 1), 2))
 
     @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """The lowest bit of each block, p ascending over the indices outside m."""
-        return tuple(self.base.bit(p, 1) for p in self.base.outside)
-
-    @cached_property
     def z0(self) -> tuple[ZVec, ...]:
         """Every element of Z0, sorted: each u of D repeated in every block."""
         _, c_d = _block_tables(self.base.k)
-        return tuple(sorted({sum(u << off for off in self.offsets) for u in c_d}))
+        return tuple(sorted({_repeat(u, self.base) for u in c_d}))
 
     @cached_property
     def distances(self) -> dict[ZVec, int]:
         """The switch distance d(x) of every x priced so far (_distance)."""
         return {}
 
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, int], ZVec]:
-        return dict(self.pair_table)
-
     def z(self, i: int, j: int) -> ZVec:
-        i, j = min(i, j), max(i, j)
-        return self._lookup[(i, j)]
+        return z_pair(i, j, self.base)
 
     def z0_key(self, x: ZVec) -> ZVec:
         """Canonical representative of the coset x + Z0: its least element."""
@@ -226,7 +231,7 @@ def _distance(sys: SwitchSystem) -> Callable[[ZVec], int]:
     per k (_block_tables); answers are kept per x in sys.distances, so they
     last as long as the system."""
     c_b, c_d = _block_tables(sys.base.k)
-    offsets = sys.offsets
+    offsets = _offsets(sys.base)
     mask = (1 << (sys.base.k - 1)) - 1
     memo = sys.distances
 

@@ -12,10 +12,15 @@ dict keyed by intervals with one ``min`` over ``(cost, k)`` per cell, so
 the least optimal partner wins ties.  The span helpers enumerate a subspace element by element
 from its generators: ``z0_span`` and ``full_span`` read the switch vectors
 of the pair table, not the library's own Z0, so they check it
-independently."""
+independently.  ``psi_table`` and ``table_z_pair`` are psi and the switch
+vectors as first written: the table of every nonzero psi value of a base,
+built by subset arithmetic, and the xor over that table of the entries
+whose letters contain both strands."""
 
 from itertools import combinations
 
+from braidcert.errors import InvalidPair
+from braidcert.parity import block_values
 from braidcert.switches import (
     _distance,
     _pairing_cost,
@@ -23,6 +28,30 @@ from braidcert.switches import (
     switch_feasibility_necessary,
 )
 from braidcert.words import reduce_involutive
+
+
+def psi_table(base):
+    """psi of every k-subset that shares k-1 indices with m, keyed by the
+    sorted letter: m - {m_i} + {p} takes the i-th of block_values(k),
+    shifted into block p.  Every other k-subset has psi = 0 and is left
+    out."""
+    table = {}
+    for p in base.outside:
+        for missing, v in zip(base.m, block_values(base.k)):
+            table[tuple(sorted(set(base.m) - {missing} | {p}))] = v << base.bit(p, 1)
+    return table
+
+
+def table_z_pair(i, j, base):
+    """The xor of psi over the k-subsets containing {i, j}, scanned from
+    ``psi_table``."""
+    if i == j or not (1 <= i <= base.n and 1 <= j <= base.n):
+        raise InvalidPair(f"need distinct strands in 1..{base.n}, got ({i}, {j})")
+    out = 0
+    for letter, x in psi_table(base).items():
+        if i in letter and j in letter:
+            out ^= x
+    return out
 
 
 def bfs_min_switches_witness(w, sys, budget):

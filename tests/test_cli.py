@@ -336,8 +336,8 @@ def test_bounds_size_limit_fails_fast(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv, limit", [
     (["map", "b{1,3000}", "--n", "3000", "--k", "3"], 32),
     (["map", "b{1,33}", "--n", "33", "--k", "4"], 32),
-    (["phi", "a{1,2,4} a{1,2,4}", "--n", "10001", "--k", "3"], 10000),
-    (["phi", "a{1,2,3,5} a{1,2,3,5}", "--n", "1000000", "--k", "4"], 10000),
+    (["phi", "a{1,2,4} a{1,2,4}", "--n", "100001", "--k", "3"], 100000),
+    (["phi", "a{1,2,3,5} a{1,2,3,5}", "--n", "1000000", "--k", "4"], 100000),
 ])
 def test_map_and_phi_size_limits_fail_fast(capsys, monkeypatch, argv, limit):
     # refused before the word is parsed
@@ -354,11 +354,13 @@ def test_map_and_phi_size_limits_fail_fast(capsys, monkeypatch, argv, limit):
 
 
 def test_map_and_phi_at_their_size_limits(capsys):
-    assert cli._IMAGES_MAX_N == 32 and cli._PHI_MAX_N == 10000
+    assert cli._IMAGES_MAX_N == 32 and cli._PHI_MAX_N == 100000
     code, out, _ = run(capsys, "map", "b{1,32}", "--n", "32", "--k", "3")
     assert code == 0 and out.endswith("even: true\n")
-    code, out, _ = run(capsys, "phi", "a{1,2,3} a{1,2,4} a{1,2,3} a{1,2,4}", "--n", "10000")
+    code, out, _ = run(capsys, "phi", "a{1,2,3} a{1,2,4} a{1,2,3} a{1,2,4}", "--n", "100000")
     assert code == 0 and out.endswith("complexity: 2\n")
+    # two letters f[...] of (k-1)(n-k) bits each
+    assert [len(x) for x in out.split()[1:3]] == [len("f[]") + 2 * 99997] * 2
 
 
 def fresh_process(argv, cwd):

@@ -36,6 +36,7 @@ from braidcert.pbraid import (
 )
 from braidcert.words import reduce_involutive
 
+from switch_oracles import psi_table
 from test_pbraid import signed_pb_words
 
 BASE = BaseChoice(4, 3, (1, 2, 3))
@@ -62,26 +63,53 @@ def test_psi_letter_examples():
     assert psi_letter((1, 2, 4), BASE) == E1 | E2
 
 
+def psi_by_definition(letter, base):
+    """The letterwise definition of psi: e_pos in the block of the letter's
+    index p outside m, pos the position of the index of m that it misses,
+    or e_1 + ... + e_{k-1} when pos = k."""
+    if len(set(letter) & set(base.m)) != base.k - 1:
+        return 0
+    (p,) = set(letter) - set(base.m)
+    (missing,) = set(base.m) - set(letter)
+    pos = base.m.index(missing) + 1
+    positions = [pos] if pos <= base.k - 1 else range(1, base.k)
+    return sum(1 << base.bit(p, i) for i in positions)
+
+
 def test_psi_table_matches_definition():
-    # the letterwise definition, evaluated on every k-subset
-    from itertools import combinations
-
-    def psi_by_definition(letter, base):
-        if len(set(letter) & set(base.m)) != base.k - 1:
-            return 0
-        (p,) = set(letter) - set(base.m)
-        (missing,) = set(base.m) - set(letter)
-        pos = base.m.index(missing) + 1
-        positions = [pos] if pos <= base.k - 1 else range(1, base.k)
-        return sum(1 << base.bit(p, i) for i in positions)
-
-    for n in range(3, 8):
-        for k in (3, 4):
-            if k > n:
-                continue
+    # psi_letter, the per-base table that it replaced and the letterwise
+    # definition agree on every sorted k-subset and every base at n <= 9
+    for k in (2, 3, 4):
+        for n in range(k, 10):
             for base in all_bases(n, k):
+                table = psi_table(base)
                 for letter in combinations(range(1, n + 1), k):
-                    assert psi_letter(letter, base) == psi_by_definition(letter, base)
+                    assert psi_letter(letter, base) == table.get(letter, 0) == psi_by_definition(letter, base)
+
+
+@st.composite
+def letters_near_a_base(draw):
+    """(letter, base, swaps): a random base of (n, k), n up to 10^5, and the
+    sorted letter that swaps 0, 1 or 2 of its indices for indices outside."""
+    k = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.one_of(st.integers(k + 2, 12), st.integers(k + 2, 10 ** 5)))
+    m = sorted(draw(st.sets(st.integers(1, n), min_size=k, max_size=k)))
+    swaps = draw(st.sampled_from((1, 1, 0, 2)))
+    gone = draw(st.sets(st.sampled_from(m), min_size=swaps, max_size=swaps))
+    new = draw(st.sets(st.integers(1, n).filter(lambda p: p not in m),
+                       min_size=swaps, max_size=swaps))
+    letter = tuple(sorted(set(m) - gone | new))
+    return letter, BaseChoice(n, k, tuple(m)), swaps
+
+
+@settings(max_examples=300, deadline=None)
+@given(letters_near_a_base())
+def test_psi_letter_matches_definition_at_large_n(case):
+    letter, base, swaps = case
+    x = psi_letter(letter, base)
+    assert x == psi_by_definition(letter, base)
+    assert (x != 0) == (swaps == 1)
+    assert x < 1 << base.dim
 
 
 def test_bit_is_the_rank_outside_the_base():

@@ -8,7 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from braidcert.certificates import ContextReport, input_hash, persist
 from braidcert.gnk import GnkWord, c_full, parse_gnk_word, relators
-from braidcert.parity import BaseChoice, all_bases, format_hword, format_zvec, phi, phi_all_bases
+from braidcert.errors import InvalidPair
+from braidcert.parity import (
+    BaseChoice,
+    all_bases,
+    format_hword,
+    format_zvec,
+    phi,
+    phi_all_bases,
+    psi_letter,
+)
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
 from braidcert.switches import (
     _context_report,
@@ -35,8 +44,10 @@ from switch_oracles import (
     full_span,
     realise_matching,
     span_by_enumeration,
+    table_z_pair,
     z0_span,
 )
+from test_pbraid import signed_pb_words
 
 BASE = BaseChoice(4, 3, (1, 2, 3))
 E1, E2 = 0b01, 0b10
@@ -93,6 +104,24 @@ def test_feasibility_examples():
     assert not switch_feasibility_necessary((0,), SYS)
 
 
+def test_z_pair_matches_the_table_scan():
+    # the closed form against the xor over the per-base psi table, on every
+    # pair of every base at n <= 9, and the same refusal of a bad pair
+    pairs = 0
+    for k in (2, 3, 4):
+        for n in range(k, 10):
+            for base in all_bases(n, k):
+                for i, j in combinations(range(1, n + 1), 2):
+                    assert z_pair(i, j, base) == table_z_pair(i, j, base) == z_pair(j, i, base)
+                    pairs += 1
+                for i, j in ((1, 1), (0, 1), (1, n + 1), (n + 1, 0)):
+                    for f in (z_pair, table_z_pair):
+                        with pytest.raises(InvalidPair) as caught:
+                            f(i, j, base)
+                        assert str(caught.value) == f"need distinct strands in 1..{n}, got ({i}, {j})"
+    assert pairs == 16158
+
+
 def test_switch_vectors_are_block_local_or_diagonal():
     # the lemma behind the closed-form distance, the parity-only feasibility
     # test and the whole Z0: z_ip is the psi of m - {i} + {p}, z_pq vanishes,
@@ -106,7 +135,7 @@ def test_switch_vectors_are_block_local_or_diagonal():
                 vectors = {z for _, z in sys.pair_table}
                 assert all(1 << b in vectors for b in range(base.dim))
                 assert len(sys.z0) <= 4
-                psi = {(i, p): base.psi[tuple(sorted(set(base.m) - {i} | {p}))]
+                psi = {(i, p): psi_letter(tuple(sorted(set(base.m) - {i} | {p})), base)
                        for i in base.m for p in base.outside}
                 for (i, j), z in sys.pair_table:
                     if i in base.m and j in base.m:
@@ -265,6 +294,35 @@ def test_min_switches_at_least_rough_bound():
         rough = (c_max(xi, SYS) + 1) // 2
         if exact is not None:
             assert exact >= rough
+
+
+@st.composite
+def braids_with_an_inserted_conjugate(draw):
+    """(w, w'): a pure braid word w on 4..7 strands and w with a random
+    conjugate h b_ab^(+-1) h^-1 inserted at a random position, the change
+    that one crossing change makes."""
+    n = draw(st.integers(4, 7))
+    w = draw(signed_pb_words(n, 5))
+    h = draw(signed_pb_words(n, 3))
+    a, b = draw(st.sampled_from(list(combinations(range(1, n + 1), 2))))
+    c = PBWord(n, (pb_letter(a, b, draw(st.sampled_from((1, -1)))),))
+    pos = draw(st.integers(0, len(w)))
+    head, tail = PBWord(n, w.letters[:pos]), PBWord(n, w.letters[pos:])
+    return w, head * h * c * h.inverse() * tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(braids_with_an_inserted_conjugate())
+def test_crossing_change_moves_min_switches_by_at_most_one(case):
+    # the crossing-change argument of the switches docstring, end to end:
+    # every context's exact minimum moves by at most 1, and the rough bound
+    # stays below it on every context of both words
+    before, after = (unknotting_report(w, budget=1000).contexts for w in case)
+    assert [(c.k, c.base_m) for c in before] == [(c.k, c.base_m) for c in after]
+    for old, new in zip(before, after):
+        assert abs(old.min_switches - new.min_switches) <= 1
+    for ctx in before + after:
+        assert ctx.rough_bound <= ctx.min_switches
 
 
 # ---------------------------------------------------------------------------
