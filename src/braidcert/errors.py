@@ -61,4 +61,5 @@ class ParseError(BraidCertError, ValueError):
 
 
 class InvalidBudget(BraidCertError, ValueError):
-    """A search budget is negative."""
+    """A search budget is negative, or positive on a parity image too long
+    for the exact switch minimum."""

@@ -55,6 +55,17 @@ class GnkWord:
         for m in self.letters:
             _check_letter(m, self.n, self.k)
 
+    @classmethod
+    def _unchecked(cls, n: int, k: int, letters: tuple[GeneratorIndex, ...]) -> "GnkWord":
+        """The word GnkWord(n, k, letters) without __post_init__'s checks, for
+        letter tuples the package has built from generators(n, k).  Parsing
+        and the public constructor keep every check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "k", k)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -99,14 +110,15 @@ def relators(n: int, k: int) -> list[GnkWord]:
     _check_context(n, k)
     out: list[GnkWord] = []
     gens = generators(n, k)
+    word = GnkWord._unchecked
     for m in gens:
-        out.append(GnkWord(n, k, (m, m)))
+        out.append(word(n, k, (m, m)))
     for m, m2 in combinations(gens, 2):
         if far_commutes(m, m2):
-            out.append(GnkWord(n, k, (m, m2, m, m2)))
+            out.append(word(n, k, (m, m2, m, m2)))
     for big in combinations(range(1, n + 1), k + 1):
         factors = tuple(tuple(x for x in big if x != i) for i in big)
-        out.append(GnkWord(n, k, factors * 2))
+        out.append(word(n, k, factors * 2))
     return out
 
 

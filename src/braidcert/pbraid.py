@@ -69,6 +69,17 @@ class PBWord:
         for l in self.letters:
             pb_letter(l.i, l.j, l.sign, n=self.n)
 
+    @classmethod
+    def _unchecked(cls, n: int, letters: tuple[PBLetter, ...]) -> "PBWord":
+        """The word PBWord(n, letters) without __post_init__'s checks, for
+        words built from the letters of checked words, or from PBLetter
+        tuples the package writes itself with 1 <= i < j <= n and sign +-1.
+        Parsing and the public constructor keep every check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -76,12 +87,12 @@ class PBWord:
         return iter(self.letters)
 
     def inverse(self) -> "PBWord":
-        return PBWord(self.n, tuple(l.inverse() for l in reversed(self.letters)))
+        return PBWord._unchecked(self.n, tuple(l.inverse() for l in reversed(self.letters)))
 
     def __mul__(self, other: "PBWord") -> "PBWord":
         if self.n != other.n:
             raise InvalidContext("cannot concatenate braid words with different n")
-        return PBWord(self.n, self.letters + other.letters)
+        return PBWord._unchecked(self.n, self.letters + other.letters)
 
     def __str__(self) -> str:
         return format_pb_word(self)
@@ -96,7 +107,9 @@ class PBRelation(NamedTuple):
 
 
 def _w(n: int, *pairs) -> PBWord:
-    return PBWord(n, tuple(pb_letter(i, j, s) for i, j, s in pairs))
+    """The word of the (i, j, sign) triples, which pb_relators writes with
+    1 <= i < j <= n and sign 1."""
+    return PBWord._unchecked(n, tuple(PBLetter(i, j, s) for i, j, s in pairs))
 
 
 def pb_relators(n: int) -> list[PBRelation]:

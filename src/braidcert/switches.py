@@ -401,12 +401,31 @@ def _context_report(base: BaseChoice, y: HWord, budget: int) -> ContextReport:
     )
 
 
+# Longest parity image on which a positive budget runs the exact minimum.
+# The interval DP takes O(L^3) steps on an image of L letters, and an image
+# of odd length is refused without one, so the limit is on even lengths.  As
+# fresh processes with --budget 1000000, random words at n = 5 whose longest
+# even image had 438, 504, 524, 590 and 612 letters took 1.7, 1.9, 3.0, 2.8
+# and 3.9 s.  One of 1,200 letters (longest image 834) took 10.3 s with
+# --budget 6, against 0.11 s with --budget 0, and its refusal takes 0.09 s
+# (shared 2-vCPU x86 machine, CPython 3.11).
+_SEARCH_MAX_LEN = 500
+
+
 def _contexts(n: int, images: Sequence[tuple[int, tuple[HWord, ...]]], budget: int
               ) -> tuple[tuple[ContextReport, ...], dict[int, int]]:
     """One pass over every (k, base) context, given per k the parity images
     of every base in all_bases(n, k) order: the context reports, and the
     length of the longest parity image per k.  The reports check the budget
-    once, before any parity image is computed."""
+    once, before any parity image is computed.  With a positive budget, an
+    even image longer than _SEARCH_MAX_LEN letters is refused with
+    InvalidBudget before any DP runs; the images are reduced already."""
+    if budget:
+        longest_even = max((len(y) for _, ys in images for y in ys if not len(y) % 2), default=0)
+        if longest_even > _SEARCH_MAX_LEN:
+            raise InvalidBudget(
+                f"a positive --budget needs parity images of at most {_SEARCH_MAX_LEN} letters, "
+                f"got {longest_even}; --budget 0 gives the other bounds without the exact minimum")
     contexts: list[ContextReport] = []
     longest: dict[int, int] = {}
     for k, ys in images:

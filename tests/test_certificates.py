@@ -1,11 +1,15 @@
-"""Certificate.to_json against its reference, json.dumps of the dict form."""
+"""Certificate.to_json against its reference, json.dumps of the dict form,
+and the file persist writes."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidcert.certificates import Certificate, ContextReport
+from braidcert.certificates import Certificate, ContextReport, input_hash, persist
 from braidcert.gnk import parse_gnk_word
 from braidcert.pbraid import parse_pb_word
 from braidcert.switches import gnk_report, unknotting_report
@@ -98,3 +102,47 @@ def test_to_json_matches_reference_on_the_certify_pools():
     assert len(certs) == 280
     for cert in certs:
         assert cert.to_json() == reference_json(cert)
+
+
+# persist writes in place and cuts the file to length, so whatever was there
+# before, the file ends up as exactly the certificate and its newline
+@pytest.mark.parametrize("before", [None, "same", "x" * 20_000, "{}\n"],
+                         ids=["no-file", "identical", "longer", "shorter"])
+def test_persist_leaves_exactly_the_certificate(tmp_path, before):
+    expected = EVERY_SHAPE.to_json() + "\n"
+    path = tmp_path / f"certificate-{input_hash('gnk', EVERY_SHAPE.input_word, 10, 6)}.json"
+    if before is not None:
+        path.write_text(expected if before == "same" else before)
+    got_path, text = persist(EVERY_SHAPE, tmp_path)
+    assert got_path == path
+    assert text + "\n" == expected
+    assert path.read_bytes() == expected.encode()
+
+
+def test_persist_file_modes(tmp_path):
+    old = os.umask(0o027)
+    try:
+        reference = tmp_path / "reference.json"
+        reference.write_text("{}\n")
+        path, _ = persist(NO_CONTEXT, tmp_path)
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+        path.chmod(0o600)
+        persist(NO_CONTEXT, tmp_path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+
+
+def test_persist_never_truncates_on_open(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    persist(EVERY_SHAPE, tmp_path)  # a new file
+    persist(EVERY_SHAPE, tmp_path)  # over the same bytes
+    assert len(flags) == 2
+    assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)

@@ -188,6 +188,31 @@ def test_bounds_odd_gnk_word_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("t", [500, 502], ids=["at-limit", "above-limit"])
+def test_bounds_long_image_limit(tmp_path, capsys, t):
+    # (a123 a124)^t has an image of t letters on the bases 123 and 124: at
+    # the limit of 500 letters the exact minimum runs; above it a positive
+    # budget is refused after the parity pass, before any DP
+    word = " ".join(["a123 a124"] * t)
+    argv = ("bounds", "--gnk", "--n", "4", "--k", "3", "--out-dir", str(tmp_path), word)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    if t == 500:
+        assert code == 0
+        contexts = json.loads(out)["contexts"]
+        assert [len(c["phi_image"].split()) for c in contexts] == [500, 500, 0, 0]
+        assert [c["min_switches"] for c in contexts] == ["budget_exceeded"] * 2 + [0, 0]
+        return
+    assert elapsed < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: a positive --budget needs parity images of at most 500 letters, "
+                   "got 502; --budget 0 gives the other bounds without the exact minimum\n")
+    assert not list(tmp_path.iterdir())
+    code, out, _ = run(capsys, *argv, "--budget", "0")
+    assert code == 0 and json.loads(out)["budget"] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--n", "4", "b13 B23"),
     ("bounds", "--gnk", "--n", "4", "--k", "3", "a123 a123"),
@@ -426,6 +451,18 @@ def test_simulate_round_trip(tmp_path, capsys):
 
     traj = trajectory_from_json(out_file.read_text())
     assert len(event_word(traj.n, 3, trace_events(traj, 3))) == 2
+
+
+def test_simulate_out_over_a_longer_file(tmp_path, capsys):
+    # the file is rewritten in place and cut to length: no old tail is left
+    argv = ("simulate", "--kind", "circle", "--i", "1", "--j", "2", "--n", "3")
+    code, payload, _ = run(capsys, *argv)
+    assert code == 0
+    out_file = tmp_path / "traj.json"
+    out_file.write_text("x" * (3 * len(payload)))
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out, err) == (0, "", f"saved: {out_file}\n")
+    assert out_file.read_text() == payload
 
 
 def test_simulate_trace_flag(capsys):

@@ -146,6 +146,13 @@ def test_wide_context_builds_without_enumerating_generators():
     assert w.reduced().letters == ()
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for k in (3, 4) for n in range(k, 10)])
+def test_relators_built_unchecked_equal_checked_words(n, k):
+    for r in relators(n, k):
+        assert r == GnkWord(r.n, r.k, r.letters)
+        assert type(r.letters) is tuple and all(type(m) is tuple for m in r.letters)
+
+
 def test_word_algebra():
     w = parse_gnk_word("a123 a124", 4, 3)
     assert (w * w.inverse()).reduced().letters == ()

@@ -8,6 +8,7 @@ from braidcert.errors import InvalidContext, NotAGroupElement, ParseError
 from braidcert.gnk import GnkWord
 from braidcert.parity import all_bases, is_even, phi, psi_word
 from braidcert.pbraid import (
+    PBLetter,
     PBWord,
     _generator_image,
     even_to_pb3,
@@ -43,8 +44,36 @@ def signed_pb_words(n, max_size):
         lambda ls: PBWord(n, tuple(pb_letter(i, j, s) for (i, j), s in ls)))
 
 
+def same_word(w: PBWord) -> bool:
+    """w equals the word the public constructor, which checks its fields,
+    builds from them, down to the letter types."""
+    return (w == PBWord(w.n, w.letters) and type(w.letters) is tuple
+            and all(type(l) is PBLetter for l in w.letters))
+
+
 # ---------------------------------------------------------------------------
 # Relations.
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_relators_built_unchecked_equal_checked_words(n):
+    for rel in pb_relators(n):
+        product = rel.left * rel.right.inverse()
+        assert all(map(same_word, (rel.left, rel.right, rel.right.inverse(), product)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_and_products_equal_checked_words(data):
+    n = data.draw(st.integers(2, 9))
+    w = data.draw(signed_pb_words(n, 6))
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            w = w.inverse()
+        else:
+            other = data.draw(signed_pb_words(n, 4))
+            w = w * other if data.draw(st.booleans()) else other * w
+        assert same_word(w)
+
 
 def test_pb_relators_n2_empty():
     assert pb_relators(2) == []
