@@ -123,7 +123,7 @@ def input_hash(kind: str, word_text: str, n: int, budget: int) -> str:
     return digest[:16]
 
 
-def _rewrite(path: str | Path, text: str) -> None:
+def rewrite(path: str | Path, text: str) -> None:
     """Make ``text`` the whole content of the file at ``path``, writing over
     the old bytes in place and then truncating at the end of the new ones.
     The opener is open(path, "wb")'s own less O_TRUNC: the other flags
@@ -149,11 +149,11 @@ def persist(cert: Certificate, out_dir: str | Path) -> tuple[Path, str]:
     return the path with the JSON text written (without the final newline),
     so callers print the same bytes without serialising again.  Re-runs
     recompute the same bytes and rewrite the file in place, cut to their
-    length (_rewrite)."""
+    length (rewrite)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = input_hash(cert.input_kind, cert.input_word, cert.n, cert.budget)
     path = out / f"certificate-{name}.json"
     text = cert.to_json()
-    _rewrite(path, text + "\n")
+    rewrite(path, text + "\n")
     return path, text

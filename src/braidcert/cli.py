@@ -14,7 +14,7 @@ bound on its trace time; `bounds` beyond n = 32, a bound on its memory
 well, a bound on its image length (seconds at n = 128); `phi` beyond
 n = 100000, a bound on its output of (k-1)(n-k) characters per image
 letter (0.3 MB per letter at n = 10^5, k = 4); `verify --suite relators`
-beyond n = 12, a bound on its run time (1.9-2.6 s at n = 12, k = 4, and
+beyond n = 12, a bound on its run time (1.6-2.5 s at n = 12, k = 4, and
 4.5 s at n = 13); `geometry --op growth` beyond n = 12
 (n = 7 with --case23), whose last abscissa would not print in decimal; and
 `geometry --op order --case 2|3` beyond n = 7, whose case-2/3 upgrade would
@@ -33,12 +33,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from fractions import Fraction
 
-from . import certificates, geometry, gnk, parity, pbraid, switches, trace, words
-from .errors import BraidCertError, InvalidContext, NotEvenWord, ParseError
+from . import certificates, geometry, gnk, parity, pbraid, switches, trace, verify, words
+from .errors import BraidCertError, InvalidContext, ParseError
 
 
 def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
@@ -51,34 +50,31 @@ def _parse_base(text: str | None, n: int, k: int) -> parity.BaseChoice:
     return parity.BaseChoice(n, k, m)
 
 
-# `geometry` refuses values, exponents and results beyond this many digits,
-# and `reduce --toy` exponents and results.
-_DIGITS_MAX = words.DIGITS_MAX
-
-
 def _check_digits(numbers) -> None:
     """Refuse a result that would not print: an int or Fraction with a
-    numerator or denominator of more than _DIGITS_MAX digits."""
-    limit = 10 ** _DIGITS_MAX
+    numerator or denominator of more than words.DIGITS_MAX digits."""
+    limit = 10 ** words.DIGITS_MAX
     if any(abs(v.numerator) >= limit or v.denominator >= limit for v in numbers):
-        raise InvalidContext(f"a result has more than {_DIGITS_MAX} digits")
+        raise InvalidContext(f"a result has more than {words.DIGITS_MAX} digits")
 
 
 def _rationals(text: str, count: int, message: str) -> list[Fraction]:
     """Exactly ``count`` rationals separated by commas or semicolons.  An
-    exponent beyond +-_DIGITS_MAX is refused before Fraction expands it into
-    a power of ten (which takes seconds at 1e10000000), and a numerator or
-    denominator of more than _DIGITS_MAX digits as written before Fraction
-    fails on it with a parse error that would echo the whole list."""
+    exponent beyond +-words.DIGITS_MAX is refused before Fraction expands
+    it into a power of ten (which takes seconds at 1e10000000), and a
+    numerator or denominator of more than words.DIGITS_MAX digits as
+    written before Fraction fails on it with a parse error that would echo
+    the whole list."""
     tokens = [tok for tok in text.replace(";", ",").split(",") if tok]
     for tok in tokens:
         mantissa, _, exp = tok.lower().partition("e")
         exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
         # without leading zeros, five digits or more exceed the limit
-        if exp.isdecimal() and int(exp[:5]) > _DIGITS_MAX:
-            raise InvalidContext(f"value exponents must lie within -{_DIGITS_MAX}..{_DIGITS_MAX}")
-        if any(sum(c.isdecimal() for c in part) > _DIGITS_MAX for part in mantissa.split("/")):
-            raise InvalidContext(f"a value has more than {_DIGITS_MAX} digits")
+        if exp.isdecimal() and int(exp[:5]) > words.DIGITS_MAX:
+            raise InvalidContext(
+                f"value exponents must lie within -{words.DIGITS_MAX}..{words.DIGITS_MAX}")
+        if any(sum(c.isdecimal() for c in part) > words.DIGITS_MAX for part in mantissa.split("/")):
+            raise InvalidContext(f"a value has more than {words.DIGITS_MAX} digits")
     try:
         values = [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError):
@@ -188,164 +184,15 @@ def cmd_bounds(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-_RELATORS_MAX_N = 12
-
-
-def _same_phi(u: gnk.GnkWord, v: gnk.GnkWord) -> bool:
-    """Whether ``u`` is even and has the parity image of ``v`` on every base
-    of their context.  The tracer suite compares with an even ``v``, an
-    unreduced map image, and ``psi`` vanishes on even words, so from the
-    zero state both words end in (0, their image): equal images mean equal
-    states.  Each word is walked once for all bases (parity.phi_all_bases),
-    which checks its evenness once."""
-    try:
-        images = parity.phi_all_bases(u)
-    except NotEvenWord:
-        return False
-    return images == parity.phi_all_bases(v)
-
-
-def _suite_relators(n: int, k: int) -> list[tuple[str, bool]]:
-    """Each relator of G_n^k, and the image of each braid relator, must act
-    trivially on Z x H from every start state (x0, 1).  It is checked from
-    x0 = 0 alone, which covers every x0 by translation:
-
-        phi_at(w, b, x0) == (x0 ^ X, tuple(v ^ x0 for v in Y)),
-        where (X, Y) = phi_at(w, b, 0).
-
-    Proof, by induction on the letters.  ``act_letter`` picks its branch by
-    comparing the letter with the base, which involves no state.  Beyond
-    that it only compares indices with each other (the first letter of y
-    with x) and xors them (psi of the letter into x), and it prepends x to
-    y or drops the first letter of y.  Each of these commutes with xor by
-    x0 on x and on every letter of y.  Hence a word acts trivially from
-    every state iff it does so from 0, that is, iff X = 0 and Y is empty.
-    For an even word, as every relator and its image is, X = psi(w) = 0, so
-    the check is ``phi(w) == ()``.
-
-    A group relator is checked by parity.acts_trivially, on the bases its
-    letters reach.  A braid relator l = r is checked as
-    ``phi_pb_all_bases(l r^-1, k) == trivial``, without mapping the word.
-    That is the same predicate as ``phi`` of its image on every base: the
-    image map(l r^-1) of a pure braid word is even, since each generator's
-    image A c c A^-1 holds every letter an even number of times, so the
-    image is never refused as odd; and by the lemma of
-    parity.phi_pb_all_bases, its images on every base are those of the
-    letters' cached images, concatenated and freely reduced.
-
-    Beyond n = 12 the suite is refused before any relator is built.  The
-    limit bounds the run time, which grows with the number of checks: as
-    fresh processes, the whole suite took 0.21-0.22 s at n = 9, k = 4 (7287
-    checks), 0.9-1.1 s at n = 11, k = 4 and 1.9-2.6 s (64 MB peak) at
-    n = 12, k = 4 (117062 checks); lifted, it took 4.5 s (110 MB) at
-    n = 13, k = 4 (246389 checks).  The relator words are built without
-    re-checking their letters (PBWord._unchecked, GnkWord._unchecked), and
-    n = 12, k = 4 now takes 1.4-1.5 s, against 1.7-1.8 s before, in one
-    series of alternating fresh processes.
-    """
-    if n > _RELATORS_MAX_N:
-        raise InvalidContext(f"the relators suite needs n <= {_RELATORS_MAX_N}, got {n}")
-    checks = [(f"group relator {idx} acts trivially", parity.acts_trivially(r))
-              for idx, r in enumerate(gnk.relators(n, k))]
-    trivial = parity.phi_all_bases(gnk.GnkWord(n, k, ()))
-    for rel in pbraid.pb_relators(n):
-        if rel.tag != "printed_vacuous":
-            checks.append((f"braid relator {rel.left} = {rel.right} maps to 1",
-                           parity.phi_pb_all_bases(rel.left * rel.right.inverse(), k) == trivial))
-    return checks
-
-
-def _suite_appendix(seed: int) -> list[tuple[str, bool]]:
-    rng = random.Random(seed)
-    checks: list[tuple[str, bool]] = []
-
-    ok = True
-    for _ in range(1000):
-        xs = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)) for _ in range(4)]
-        if geometry.delta_det(*xs) != geometry.delta_factored(*xs):
-            ok = False
-            break
-    checks.append(("determinant equals its product factorisation (1000 random)", ok))
-
-    ok = True
-    for _ in range(200):
-        xs = sorted(rng.sample(range(1, 10**6), 3))
-        xs4 = -(xs[0] + xs[1] + xs[2])
-        ok = ok and geometry.concyclic_on_parabola(xs4, *xs)
-        ok = ok and (geometry.delta_det(xs4, *xs) == 0)
-        ok = ok and not geometry.concyclic_on_parabola(xs4 + 1, *xs)
-    checks.append(("concyclic iff abscissas sum to zero", ok))
-
-    ok = True
-    for _ in range(200):
-        ts = sorted(Fraction(rng.randint(1, 10**6), rng.randint(1, 100)) for _ in range(3))
-        if len(set(ts)) < 3:
-            continue
-        s = geometry.fourth_intersection(*ts)
-        ok = ok and s < 0
-        center, r2 = geometry.circle_through(*((t, t * t) for t in ts))
-        ok = ok and ((s - center[0]) ** 2 + (s * s - center[1]) ** 2 == r2)
-    checks.append(("fourth intersection negative and on the circle", ok))
-
-    cfg = geometry.growth_sequence_case1(5)
-    ok = True
-    for l in range(1, 6):
-        for m in range(l + 1, 6):
-            for kk in range(m + 1, 6):
-                kappa = geometry.slope_kappa(cfg.t(kk), cfg.t(l), cfg.t(m))
-                ok = ok and (-(cfg.t(l) + cfg.t(m) + 1) < kappa < -(cfg.t(l) + cfg.t(m)))
-    checks.append(("slope bounds on the canonical growth sequence", ok))
-
-    ok = True
-    for j in range(3, 6):
-        expected = [(l, m) for m in range(2, j) for l in range(1, m)]
-        ok = ok and geometry.crossing_order(cfg, j, 1) == expected
-    checks.append(("case-1 order matches the closed form", ok))
-
-    cfg23 = geometry.upgrade_to_case23(cfg)
-    ok = True
-    for j in range(2, 5):
-        expected2 = [(l, m) for l in range(j - 1, 0, -1) for m in range(j + 1, 6)]
-        ok = ok and geometry.crossing_order(cfg23, j, 2) == expected2
-    for j in range(1, 4):
-        expected3 = [(l, m) for l in range(4, j, -1) for m in range(5, l, -1)]
-        ok = ok and geometry.crossing_order(cfg23, j, 3) == expected3
-    checks.append(("case-2/3 orders match their printed lists", ok))
-    return checks
-
-
-def _suite_tracer(n: int) -> list[tuple[str, bool]]:
-    if n < 3:
-        raise InvalidContext(f"the tracer suite needs n >= 3, got {n}")
-
-    # built first, so its n <= 7 limit stops the suite at once; reported last
-    parabola_events = trace.simulate_bij_parabola(1, 2, n)[1] if n >= 4 else None
-    checks: list[tuple[str, bool]] = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            w = pbraid.PBWord(n, (pbraid.pb_letter(i, j),))
-            _, events = trace.simulate_bij_circle(i, j, n)
-            traced = trace.event_word(n, 3, events)
-            image = pbraid.map_pb_to_g3(w, reduced=False)
-            checks.append((f"circle trace of b{i}{j} matches the k=3 image",
-                           _same_phi(traced, image)))
-    if parabola_events is not None:
-        traced = trace.event_word(n, 4, parabola_events)
-        image = pbraid.map_pb_to_g4(pbraid.PBWord(n, (pbraid.pb_letter(1, 2),)), reduced=False)
-        checks.append(("parabola trace of b12 matches the k=4 image",
-                       _same_phi(traced, image)))
-    return checks
-
+# verify
 
 def cmd_verify(args) -> int:
     if args.suite == "relators":
-        checks = _suite_relators(args.n, args.k)
+        checks = verify.relator_checks(args.n, args.k)
     elif args.suite == "appendix":
-        checks = _suite_appendix(args.seed)
+        checks = verify.appendix_checks(args.seed)
     else:
-        checks = _suite_tracer(args.n)
+        checks = verify.tracer_checks(args.n)
     failed = [name for name, ok in checks if not ok]
     summary = {
         "suite": args.suite,
@@ -367,7 +214,7 @@ def cmd_simulate(args) -> int:
     traj, events = build(args.i, args.j, args.n)
     payload = trace.trajectory_to_json(traj)
     if args.out:
-        certificates._rewrite(args.out, payload + "\n")
+        certificates.rewrite(args.out, payload + "\n")
         print(f"saved: {args.out}", file=sys.stderr)
     else:
         print(payload)
@@ -381,22 +228,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # geometry
 
-def _growth_sequence(n: int, case23: bool) -> geometry.ParabolaConfig:
-    """The canonical growth sequence, upgraded to case 2/3 if asked, refused
-    before any work beyond n = 12 (n = 7 upgraded): t_13 and the upgraded t_8
-    do not print in decimal, and the upgrade alone runs for seconds at n = 8
-    and longer beyond."""
-    limit = geometry._CASE23_MAX_N if case23 else geometry._CASE1_MAX_N
-    if n > limit:
-        kind = "case-2/3 growth" if case23 else "growth"
-        raise InvalidContext(f"{kind} sequences need n <= {limit}, got {n}")
-    cfg = geometry.growth_sequence_case1(n)
-    return geometry.upgrade_to_case23(cfg) if case23 else cfg
-
-
 def cmd_geometry(args) -> int:
     """Every result line is computed first, and printed only if no number in
-    it has a numerator or denominator of more than _DIGITS_MAX digits."""
+    it has a numerator or denominator of more than words.DIGITS_MAX digits."""
     if args.op == "delta":
         xs = _rationals(args.values, 4, "delta needs four abscissas")
         lines = [("delta", geometry.delta_det(*xs)), ("factored", geometry.delta_factored(*xs)),
@@ -413,13 +247,13 @@ def cmd_geometry(args) -> int:
         ts = _rationals(args.values, 3, "slope needs tk,tl,tm")
         lines = [("kappa", geometry.slope_kappa(*ts))]
     elif args.op == "growth":
-        cfg = _growth_sequence(args.n, args.case23)
+        cfg = geometry.growth_sequence(args.n, args.case23)
         lines = [("ts", *cfg.ts),
                  ("case1", "true" if geometry.check_growth_case1(cfg) else "false")]
         if cfg.n >= 3:
             lines.append(("case23", "true" if geometry.check_growth_case23(cfg) else "false"))
     else:  # order
-        cfg = _growth_sequence(args.n, case23=args.case != 1)
+        cfg = geometry.growth_sequence(args.n, case23=args.case != 1)
         order = geometry.crossing_order(cfg, args.j, args.case)
         lines = [("order", " ".join(f"({l},{m})" for l, m in order))]
     _check_digits(v for _, *vals in lines for v in vals if not isinstance(v, str))

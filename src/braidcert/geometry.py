@@ -139,12 +139,6 @@ class ParabolaConfig:
         return self.ts[i - 1]
 
 
-# Largest n whose growth sequence prints in decimal (at most 4300 digits in
-# Python): t_13 has 8191 digits, t_8 after the case-2/3 upgrade about 5700.
-_CASE1_MAX_N = 12
-_CASE23_MAX_N = 7
-
-
 def growth_sequence_case1(n: int) -> ParabolaConfig:
     """t_1 = 1, t_i = 100 t_{i-1}^2: the canonical sequence satisfying the
     case-1 growth condition."""
@@ -233,6 +227,25 @@ def upgrade_to_case23(cfg: ParabolaConfig) -> ParabolaConfig:
     ts = list(cfg.ts)
     _case23_walk(ts, double=True)
     return ParabolaConfig(tuple(ts))
+
+
+# Largest n whose growth sequence prints in decimal (at most 4300 digits in
+# Python): t_13 has 8191 digits, t_8 after the case-2/3 upgrade about 5700.
+_CASE1_MAX_N = 12
+_CASE23_MAX_N = 7
+
+
+def growth_sequence(n: int, case23: bool = False) -> ParabolaConfig:
+    """The canonical growth sequence, upgraded to case 2/3 if asked, refused
+    before any work beyond n = 12 (n = 7 upgraded): t_13 and the upgraded t_8
+    do not print in decimal, and the upgrade alone runs for seconds at n = 8
+    and longer beyond."""
+    limit = _CASE23_MAX_N if case23 else _CASE1_MAX_N
+    if n > limit:
+        kind = "case-2/3 growth" if case23 else "growth"
+        raise InvalidContext(f"{kind} sequences need n <= {limit}, got {n}")
+    cfg = growth_sequence_case1(n)
+    return upgrade_to_case23(cfg) if case23 else cfg
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def acts_trivially(w: GnkWord) -> bool:
     there has the parity of the number of times a_l occurs.  An odd word
     thus leaves a nonempty y, and the answer is False.  If every y is empty,
     w is even, so x ends at psi(w) = 0 on every base: w fixes the zero
-    state, and by translation (cli._suite_relators) every start state."""
+    state, and by translation (verify.relator_checks) every start state."""
     return not any(_sparse_pass(w.letters, _incidence(w.n, w.k)).values())
 
 

@@ -18,6 +18,16 @@ and base for n <= 9).  f is the same on a word and on its free reduction,
 and g c g^-1 dies with f(c) switches, so one crossing change moves f by at
 most 1, and the trivial braid has f = 0.
 
+f is also a conjugacy invariant: f(g w g^-1) = f(w) on every base, for
+pure braid words g and w.  By the lemma of parity.phi_pb_all_bases, base
+m's image of g w g^-1 is the free reduction of T(g) T(w) T(g)^-1, T the
+image of a word on m, and T(g)^-1 is T(g) reversed.  Take an optimal
+matching of T(w) (min_switches_witness) and match each letter of T(g) with
+its mirror image in T(g)^-1: the new pairs hold equal letters, at distance
+0, and nest around T(w), so the matching stays non-crossing and
+f(g w g^-1) <= f(w).  The same step for g^-1 and g w g^-1, whose conjugate
+g^-1 (g w g^-1) g has the image of w, gives f(w) <= f(g w g^-1).
+
 This module computes f exactly by an interval DP over the non-crossing
 matchings of the image's letters (min_switches_witness): O(L^3) steps for
 an image of length L, each pair priced by a closed-form switch distance
@@ -153,9 +163,6 @@ class SwitchSystem:
         """The switch distance d(x) of every x priced so far (_distance)."""
         return {}
 
-    def z(self, i: int, j: int) -> ZVec:
-        return z_pair(i, j, self.base)
-
     def z0_key(self, x: ZVec) -> ZVec:
         """Canonical representative of the coset x + Z0: its least element."""
         return min(x ^ s for s in self.z0)
@@ -172,7 +179,7 @@ def apply_switch(w: HWord, pos: int, i: int, j: int, sys: SwitchSystem) -> HWord
     """Switch the letter at 0-based position pos by z_ij, then re-reduce."""
     if not 0 <= pos < len(w):
         raise IndexError(f"position {pos} outside word of length {len(w)}")
-    flipped = w[:pos] + (w[pos] ^ sys.z(i, j),) + w[pos + 1:]
+    flipped = w[:pos] + (w[pos] ^ z_pair(i, j, sys.base),) + w[pos + 1:]
     return reduce_involutive(flipped)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from braidcert import cli, gnk, parity, pbraid
+from braidcert import cli, gnk, parity, pbraid, verify
 from braidcert.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -257,7 +257,7 @@ def relators_by_enumeration(n, k):
 def test_relators_suite_matches_full_enumeration(n, k):
     # the suite starts from the zero state only; translation covariance
     # (tests/test_parity.py) says that covers every start state
-    checks = cli._suite_relators(n, k)
+    checks = verify.relator_checks(n, k)
     assert checks == relators_by_enumeration(n, k)
     assert checks and all(ok for _, ok in checks)
 
@@ -315,10 +315,10 @@ def test_verify_tracer_rejects_another_image(capsys, monkeypatch):
     bases = parity.all_bases(n, 3)
     u, v = image(b12, reduced=False), image(b13, reduced=False)
     assert any(parity.phi(u, b) != parity.phi(v, b) for b in bases)
-    assert not cli._same_phi(u, v) and cli._same_phi(u, u)
+    assert not verify._same_phi(u, v) and verify._same_phi(u, u)
     # compared with itself, an odd word can only be refused for its parity
     odd = gnk.GnkWord(n, 3, u.letters + u.letters[:1])
-    assert not parity.is_even(odd) and not cli._same_phi(odd, odd)
+    assert not parity.is_even(odd) and not verify._same_phi(odd, odd)
     monkeypatch.setattr(pbraid, "map_pb_to_g3", swapped)
     code, out, _ = run(capsys, "verify", "--suite", "tracer", "--n", str(n))
     assert code == 1

@@ -16,6 +16,7 @@ from braidcert.parity import (
     format_zvec,
     phi,
     phi_all_bases,
+    phi_pb_all_bases,
     psi_letter,
 )
 from braidcert.pbraid import PBWord, map_pb_to_g3, map_pb_to_g4, parse_pb_word, pb_letter
@@ -323,6 +324,37 @@ def test_crossing_change_moves_min_switches_by_at_most_one(case):
         assert abs(old.min_switches - new.min_switches) <= 1
     for ctx in before + after:
         assert ctx.rough_bound <= ctx.min_switches
+
+
+@st.composite
+def braids_and_a_conjugate(draw):
+    """(k, w, g w g^-1): w with 1-4 letters and g with 1-3 letters, each
+    generator with either sign, on 5 or 6 strands, and k = 3 or 4."""
+    n, k = draw(st.sampled_from((5, 6))), draw(st.sampled_from((3, 4)))
+    letter = st.tuples(st.sampled_from(list(combinations(range(1, n + 1), 2))),
+                       st.sampled_from((1, -1)))
+
+    def word(size):
+        letters = draw(st.lists(letter, min_size=1, max_size=size))
+        return PBWord(n, tuple(pb_letter(i, j, s) for (i, j), s in letters))
+
+    w, g = word(4), word(3)
+    return k, w, g * w * g.inverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(braids_and_a_conjugate())
+def test_min_switches_is_a_conjugacy_invariant(case):
+    # the conjugacy argument of the switches docstring: on every base, the
+    # exact minimum of g w g^-1's image is that of w's.  No budget cuts
+    # either off: the switch vectors hold every unit vector of Z (module
+    # docstring), so d(x) <= dim and a minimum is at most dim per pair
+    k, w, conjugate = case
+    images = zip(all_bases(w.n, k), phi_pb_all_bases(w, k), phi_pb_all_bases(conjugate, k))
+    for base, y, y_conjugate in images:
+        sys, budget = switch_system(base), (len(y) + len(y_conjugate)) * base.dim
+        f = min_switches(y, sys, budget)
+        assert f is not None and min_switches(y_conjugate, sys, budget) == f
 
 
 # ---------------------------------------------------------------------------
