@@ -5,27 +5,24 @@ output is deterministic for fixed inputs and flags (stable orderings, sorted
 JSON keys, no timestamps); randomized verification suites take --seed.
 
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
-violation or an unwritable output path.  Parabola motions are limited to
-n <= 7 (at n = 8, 12 of the 28 generators fail the letter-exact word
-check), so `simulate --kind parabola` and `verify --suite tracer` with
-n >= 8 exit 3 at once.  So does `simulate --kind circle` beyond n = 32, a
-bound on its trace time; `bounds` beyond n = 32, a bound on its memory
-(0.64 GB at n = 32, and more than 3 GB at n = 64); `map` beyond n = 32 as
-well, a bound on its image length (seconds at n = 128); `phi` beyond
-n = 100000, a bound on its output of (k-1)(n-k) characters per image
-letter (0.3 MB per letter at n = 10^5, k = 4); `verify --suite relators`
-beyond n = 12, a bound on its run time (1.6-2.5 s at n = 12, k = 4, and
-4.5 s at n = 13); `geometry --op growth` beyond n = 12
-(n = 7 with --case23), whose last abscissa would not print in decimal; and
-`geometry --op order --case 2|3` beyond n = 7, whose case-2/3 upgrade would
-run for seconds and more.  `bounds` with a positive --budget exits 3 with an
-empty stdout when a parity image of even length has more than 500 letters,
-after the parity pass and before any exact switch minimum: that minimum is
-an O(L^3) dynamic program, and a word at n = 5 whose longest image is near
-the limit takes 2-3 s, against 10 s at 834 letters.  `--budget 0` gives the
-other bounds of such a word at once.
-`geometry` and `reduce --toy` exit 3 with an empty stdout when an input
-number or a result has more than 4300 digits.
+violation or an unwritable output path.  Each size limit exits 3 with an
+empty stdout before the work that it bounds:
+
+- `map` and `bounds` beyond _IMAGES_MAX_N strands, and `phi` beyond
+  _PHI_MAX_N;
+- `verify --suite relators` beyond verify._RELATORS_MAX_N;
+- `simulate --kind circle` beyond trace._CIRCLE_MAX_N, and parabola
+  motions (`simulate --kind parabola`, `verify --suite tracer`) beyond
+  trace._PARABOLA_MAX_N;
+- `geometry --op growth|order` beyond geometry._CASE1_MAX_N, or
+  geometry._CASE23_MAX_N for case 2/3;
+- `bounds` with a positive --budget on a parity image of even length
+  longer than switches._SEARCH_MAX_LEN letters, after the parity pass and
+  before any exact switch minimum; `--budget 0` gives the other bounds;
+- `geometry` and `reduce --toy` on an input number or a result of more
+  than words.DIGITS_MAX digits.
+
+The measurements behind each limit sit beside its constant.
 """
 
 from __future__ import annotations
@@ -116,14 +113,14 @@ def cmd_reduce(args) -> int:
 # map
 
 # Largest n of `map` and `bounds`, which maps the same images for its images
-# field.  `map` grows with the image: that of b{1,n} has 2700 letters at
-# n = 16 and 26908 at n = 32, k = 4.  As fresh processes, it took 0.2 s at
-# n = 32, 1.1 s at n = 64 and 8.2 s (339 MB peak) at n = 128, and at
-# n = 3000, k = 3 ran out of a 2 GB address-space cap.  `bounds` grows as
-# C(n, 4) k (n - k) whatever the word: with --budget 0, 10 random letters
-# took 3.1 s and 163 MB peak (VmHWM) at n = 24, 13.5 s and 636 MB at
-# n = 32, and 2 letters 6.6 s and 688 MB at n = 33, while 2 letters at
-# n = 64 ran out of a 3 GB cap (shared 2-vCPU x86 machine, CPython 3.11).
+# field.  `bounds` grows as C(n, 4) k (n - k) whatever the word: with
+# --budget 0, 10 random letters took 2.2-2.8 s and 157 MB peak (VmHWM) at
+# n = 24 and 8.2-9.9 s and 613 MB at n = 32, and, with the limit lifted,
+# 2 letters took 6.3-7.6 s and 673-694 MB at n = 33.  `map` grows with the
+# image: that of b{1,n} at k = 4 has 2700 letters at n = 16 and 26908 at
+# n = 32, and took 0.15-0.23 s at n = 32, 0.55-0.68 s at n = 64 and
+# 3.9-4.6 s (309 MB) at n = 128.  Three fresh processes each, on a shared
+# 2-vCPU x86 machine with CPython 3.11.
 _IMAGES_MAX_N = 32
 
 
@@ -142,15 +139,13 @@ def cmd_map(args) -> int:
 # phi
 
 # Largest n of `phi`.  psi is read off each letter (parity.psi_letter), so
-# memory no longer grows with n for its own sake; what grows is the output,
+# memory does not grow with n for its own sake; what grows is the output,
 # (k - 1)(n - k) characters per image letter, and the int of as many bits
-# that each image letter holds.  As fresh processes, a word of four letters
-# with a two-letter image took 0.15-0.19 s and 22 MB peak (VmHWM) at
-# n = 10^5, k = 3 and 4 (0.4 and 0.6 MB of stdout), and, with the limit
-# lifted, 0.17-0.19 s and 31-35 MB at n = 10^6 (4 and 6 MB of stdout).  A
-# 200-letter word with a 34-letter image took 0.19-0.28 s, 41 MB and 10 MB
-# of stdout at n = 10^5, k = 4, and 0.61 s, 219 MB and 102 MB at n = 10^6
-# (shared 2-vCPU x86 machine, CPython 3.11).
+# that each image letter holds.  A word of four letters with a two-letter
+# image took 0.10-0.16 s and 22-23 MB peak (VmHWM) at n = 10^5, k = 3 and 4
+# (0.4 and 0.6 MB of stdout), and, with the limit lifted, 0.12-0.19 s and
+# 31-36 MB at n = 10^6 (3.8 and 5.7 MB of stdout).  Three fresh processes
+# each, on a shared 2-vCPU x86 machine with CPython 3.11.
 _PHI_MAX_N = 100_000
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -29,12 +28,8 @@ def _check_context(n: int, k: int) -> None:
         raise InvalidContext(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
-@cache
 def _check_letter(m: GeneratorIndex, n: int, k: int) -> None:
-    """Raise InvalidContext unless m is a letter of the (n, k) group.  The
-    outcome is memoised per (m, n, k), so words the package builds from
-    letters it has already checked cost one lookup per letter; a rejection
-    raises, which the cache does not store, so it is re-checked every time."""
+    """Raise InvalidContext unless m is a letter of the (n, k) group."""
     if len(m) != k or any(m[t] >= m[t + 1] for t in range(k - 1)):
         raise InvalidContext(f"letter {m} is not a strictly increasing {k}-tuple")
     if m[0] < 1 or m[-1] > n:
@@ -58,8 +53,9 @@ class GnkWord:
     @classmethod
     def _unchecked(cls, n: int, k: int, letters: tuple[GeneratorIndex, ...]) -> "GnkWord":
         """The word GnkWord(n, k, letters) without __post_init__'s checks, for
-        letter tuples the package has built from generators(n, k).  Parsing
-        and the public constructor keep every check."""
+        letters the package has built or checked itself: words are checked
+        once, where they enter (the public constructor and the parsers), and
+        every word built from checked parts is built through here."""
         w = object.__new__(cls)
         object.__setattr__(w, "n", n)
         object.__setattr__(w, "k", k)
@@ -73,15 +69,15 @@ class GnkWord:
         return iter(self.letters)
 
     def reduced(self) -> "GnkWord":
-        return GnkWord(self.n, self.k, reduce_involutive(self.letters))
+        return GnkWord._unchecked(self.n, self.k, reduce_involutive(self.letters))
 
     def inverse(self) -> "GnkWord":
-        return GnkWord(self.n, self.k, self.letters[::-1])
+        return GnkWord._unchecked(self.n, self.k, self.letters[::-1])
 
     def __mul__(self, other: "GnkWord") -> "GnkWord":
         if (self.n, self.k) != (other.n, other.k):
             raise InvalidContext("cannot concatenate words from different contexts")
-        return GnkWord(self.n, self.k, self.letters + other.letters)
+        return GnkWord._unchecked(self.n, self.k, self.letters + other.letters)
 
     def __str__(self) -> str:
         return format_gnk_word(self)
@@ -132,7 +128,7 @@ def c_full(i: int, j: int, n: int, k: int) -> GnkWord:
         raise InvalidPair(f"need distinct strands in 1..{n}, got ({i}, {j})")
     others = [x for x in range(1, n + 1) if x not in (i, j)]
     letters = sorted(tuple(sorted((i, j) + extra)) for extra in combinations(others, k - 2))
-    return GnkWord(n, k, tuple(letters))
+    return GnkWord._unchecked(n, k, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def parse_gnk_word(text: str, n: int, k: int) -> GnkWord:
     """Parse a word of the (n, k) group: a bad (n, k) raises InvalidContext,
     a malformed or out-of-range letter ParseError."""
     _check_context(n, k)
-    return GnkWord(n, k, tuple(parse_gnk_letter(tok, n, k) for tok in text.split()))
+    return GnkWord._unchecked(n, k, tuple(parse_gnk_letter(tok, n, k) for tok in text.split()))
 
 
 def format_gnk_letter(m: Iterable[int], n: int) -> str:

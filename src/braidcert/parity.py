@@ -106,14 +106,10 @@ class BaseChoice:
 
 
 @cache
-def _bases(n: int, k: int) -> tuple[BaseChoice, ...]:
+def all_bases(n: int, k: int) -> tuple[BaseChoice, ...]:
+    """Every base of the (n, k) group, in generators(n, k) order, built once
+    per (n, k)."""
     return tuple(BaseChoice(n, k, m) for m in generators(n, k))
-
-
-def all_bases(n: int, k: int) -> list[BaseChoice]:
-    """Every base of the (n, k) group, in generators(n, k) order: a new list
-    each call, of BaseChoice objects built once per (n, k)."""
-    return list(_bases(n, k))
 
 
 def psi_letter(letter: GeneratorIndex, base: BaseChoice) -> ZVec:
@@ -300,7 +296,7 @@ def phi_pb_all_bases(w: PBWord, k: int) -> tuple[HWord, ...]:
     this function with phi_all_bases(map(w)) on every base."""
     if k not in (3, 4) or w.n < k:
         raise InvalidContext(f"pure braid images need k in (3, 4) and n >= k, got n={w.n}, k={k}")
-    ys: list[list[ZVec]] = [[] for _ in _incidence(w.n, k)]
+    ys: list[list[ZVec]] = [[] for _ in all_bases(w.n, k)]
     for i, j, sign in w:
         for b, t in _generator_phi(i, j, w.n, k):
             y = ys[b]
@@ -315,25 +311,26 @@ def phi_pb_all_bases(w: PBWord, k: int) -> tuple[HWord, ...]:
 # ---------------------------------------------------------------------------
 # Event-count lower bounds for braids.
 
-def _event_lower_bound(w: PBWord, k: int) -> int:
-    return max(map(len, phi_pb_all_bases(w, k)), default=0)
+def event_lower_bound(images: Sequence[HWord]) -> int:
+    """The event bound of one k, from the parity images of a braid on every
+    base (phi_pb_all_bases): the longest of them, 0 when there are none.  No
+    realisation of the braid has fewer trisecant (k = 3) or circled
+    quadrisecant (k = 4) events (module docstring).  The certificates and
+    the two bounds below take it from here alone."""
+    return max(map(len, images), default=0)
 
 
 def trisecant_lower_bound(w: PBWord) -> int:
     """Max over base 3-subsets of the reduced parity image length of the
     braid's k = 3 word: no realisation of the braid can have fewer horizontal
     trisecants."""
-    if w.n < 3:
-        return 0
-    return _event_lower_bound(w, 3)
+    return event_lower_bound(phi_pb_all_bases(w, 3) if w.n >= 3 else ())
 
 
 def quadrisecant_lower_bound(w: PBWord) -> int:
     """Same bound for k = 4 (circled quadrisecants).  Nontrivial only for
     n > 4: at n = 4 the parity group Z is trivial and the images collapse."""
-    if w.n < 4:
-        return 0
-    return _event_lower_bound(w, 4)
+    return event_lower_bound(phi_pb_all_bases(w, 4) if w.n >= 4 else ())
 
 
 # ---------------------------------------------------------------------------

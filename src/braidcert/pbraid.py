@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidContext, InvalidPair, NotAGroupElement, ParseError
-from .gnk import GnkWord
+from .gnk import GnkWord, _check_context
 from .words import reduce_involutive
 
 
@@ -63,8 +63,7 @@ class PBWord:
     letters: tuple[PBLetter, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidContext(f"need at least 2 strands, got n={self.n}")
+        _check_strands(self.n)
         object.__setattr__(self, "letters", tuple(PBLetter(*l) for l in self.letters))
         for l in self.letters:
             pb_letter(l.i, l.j, l.sign, n=self.n)
@@ -73,8 +72,9 @@ class PBWord:
     def _unchecked(cls, n: int, letters: tuple[PBLetter, ...]) -> "PBWord":
         """The word PBWord(n, letters) without __post_init__'s checks, for
         words built from the letters of checked words, or from PBLetter
-        tuples the package writes itself with 1 <= i < j <= n and sign +-1.
-        Parsing and the public constructor keep every check."""
+        tuples the package writes or checks itself with 1 <= i < j <= n and
+        sign +-1.  Words are checked once, where they enter: the public
+        constructor and parse_pb_word."""
         w = object.__new__(cls)
         object.__setattr__(w, "n", n)
         object.__setattr__(w, "letters", letters)
@@ -96,6 +96,11 @@ class PBWord:
 
     def __str__(self) -> str:
         return format_pb_word(self)
+
+
+def _check_strands(n: int) -> None:
+    if n < 2:
+        raise InvalidContext(f"need at least 2 strands, got n={n}")
 
 
 class PBRelation(NamedTuple):
@@ -152,8 +157,9 @@ def g3_c(i: int, j: int, n: int) -> GnkWord:
     then 1..j-1 (x = i is skipped: a letter needs three distinct indices)."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise InvalidPair(f"need distinct strands in 1..{n}, got ({i}, {j})")
+    _check_context(n, 3)
     ks = [x for x in list(range(j + 1, n + 1)) + list(range(1, j)) if x != i]
-    return GnkWord(n, 3, tuple(tuple(sorted((i, j, x))) for x in ks))
+    return GnkWord._unchecked(n, 3, tuple(tuple(sorted((i, j, x))) for x in ks))
 
 
 def g4_c_components(i: int, j: int, n: int) -> tuple[GnkWord, GnkWord, GnkWord]:
@@ -187,9 +193,9 @@ def g4_c_components(i: int, j: int, n: int) -> tuple[GnkWord, GnkWord, GnkWord]:
     case3 = [letter(l, m)
              for l in range(n - 1, j, -1) for m in range(n, l, -1)
              if i not in (l, m)]
-    return (GnkWord(n, 4, tuple(case1)),
-            GnkWord(n, 4, tuple(case2)),
-            GnkWord(n, 4, tuple(case3)))
+    return (GnkWord._unchecked(n, 4, tuple(case1)),
+            GnkWord._unchecked(n, 4, tuple(case2)),
+            GnkWord._unchecked(n, 4, tuple(case3)))
 
 
 def g4_c(i: int, j: int, n: int) -> GnkWord:
@@ -224,12 +230,13 @@ def _map(w: PBWord, k: int, reduced: bool) -> GnkWord:
     out = tuple(letters)
     if reduced:
         out = reduce_involutive(out)
-    return GnkWord(w.n, k, out)
+    return GnkWord._unchecked(w.n, k, out)
 
 
 def map_pb_to_g3(w: PBWord, *, reduced: bool = True) -> GnkWord:
     """Letterwise substitution into the k = 3 group; inverses map to reversed
     words since every generator is an involution."""
+    _check_context(w.n, 3)
     return _map(w, 3, reduced)
 
 
@@ -291,8 +298,8 @@ def even_to_pb3(letters: Iterable[EvenLetter]) -> PBWord:
         raise NotAGroupElement("odd reduced length: not in the even subgroup")
     out: list[PBLetter] = []
     for t in range(0, len(word), 2):
-        out.extend(pb_letter(i, j, s) for i, j, s in _PAIR_TO_PB3[word[t], word[t + 1]])
-    return PBWord(3, tuple(out))
+        out.extend(PBLetter(*l) for l in _PAIR_TO_PB3[word[t], word[t + 1]])
+    return PBWord._unchecked(3, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +321,8 @@ def parse_pb_word(text: str, n: int) -> PBWord:
             letters.append(pb_letter(i, j, sign, n=n))
         except InvalidPair as exc:
             raise ParseError(str(exc)) from None
-    return PBWord(n, tuple(letters))
+    _check_strands(n)
+    return PBWord._unchecked(n, tuple(letters))
 
 
 def format_pb_word(w: PBWord) -> str:

@@ -78,7 +78,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .certificates import Certificate, ContextReport
 from .errors import InvalidBudget, InvalidPair
@@ -89,6 +89,7 @@ from .parity import (
     ZVec,
     all_bases,
     block_values,
+    event_lower_bound,
     format_hword,
     format_zvec,
     phi,
@@ -410,59 +411,54 @@ def _context_report(base: BaseChoice, y: HWord, budget: int) -> ContextReport:
 
 # Longest parity image on which a positive budget runs the exact minimum.
 # The interval DP takes O(L^3) steps on an image of L letters, and an image
-# of odd length is refused without one, so the limit is on even lengths.  As
-# fresh processes with --budget 1000000, random words at n = 5 whose longest
-# even image had 438, 504, 524, 590 and 612 letters took 1.7, 1.9, 3.0, 2.8
-# and 3.9 s.  One of 1,200 letters (longest image 834) took 10.3 s with
-# --budget 6, against 0.11 s with --budget 0, and its refusal takes 0.09 s
-# (shared 2-vCPU x86 machine, CPython 3.11).
+# of odd length is refused without one, so the limit is on even lengths.
+# With the limit lifted and --budget 1000000, random words at n = 5 whose
+# longest even image had 434, 498, 516, 584 and 612 letters took 2.8-3.0,
+# 3.5-3.8, 3.7-4.1, 5.5-6.3 and 6.2-6.6 s.  One of 1,200 letters (longest
+# image 834) took 12.9-14.0 s with --budget 6, against 0.16-0.20 s with
+# --budget 0, and its refusal takes 0.12-0.16 s.  Two fresh processes each,
+# on a shared 2-vCPU x86 machine with CPython 3.11.
 _SEARCH_MAX_LEN = 500
 
 
-def _contexts(n: int, images: Sequence[tuple[int, tuple[HWord, ...]]], budget: int
-              ) -> tuple[tuple[ContextReport, ...], dict[int, int]]:
-    """One pass over every (k, base) context, given per k the parity images
-    of every base in all_bases(n, k) order: the context reports, and the
-    length of the longest parity image per k.  The reports check the budget
+def _contexts(n: int, images: dict[int, tuple[HWord, ...]], budget: int
+              ) -> tuple[ContextReport, ...]:
+    """The reports of every (k, base) context, given per k the parity images
+    of every base in all_bases(n, k) order.  The reports check the budget
     once, before any parity image is computed.  With a positive budget, an
     even image longer than _SEARCH_MAX_LEN letters is refused with
     InvalidBudget before any DP runs; the images are reduced already."""
     if budget:
-        longest_even = max((len(y) for _, ys in images for y in ys if not len(y) % 2), default=0)
+        longest_even = max((len(y) for ys in images.values() for y in ys if not len(y) % 2),
+                           default=0)
         if longest_even > _SEARCH_MAX_LEN:
             raise InvalidBudget(
                 f"a positive --budget needs parity images of at most {_SEARCH_MAX_LEN} letters, "
                 f"got {longest_even}; --budget 0 gives the other bounds without the exact minimum")
-    contexts: list[ContextReport] = []
-    longest: dict[int, int] = {}
-    for k, ys in images:
-        for base, y in zip(all_bases(n, k), ys):
-            longest[k] = max(longest.get(k, 0), len(y))
-            contexts.append(_context_report(base, y, budget))
-    return tuple(contexts), longest
+    return tuple(_context_report(base, y, budget)
+                 for k, ys in images.items() for base, y in zip(all_bases(n, k), ys))
 
 
 def unknotting_report(w: PBWord, budget: int = 6) -> Certificate:
     """Certificate over k in {3, 4} and every base subset: rough projection
     bound plus (within budget) the exact minimal switch count, and the best
     resulting lower bound for the unknotting number.  The trisecant and
-    quadrisecant bounds are the longest parity images of the same pass, as
-    in trisecant_lower_bound and quadrisecant_lower_bound.  The parity images
-    come from the braid's letters (parity.phi_pb_all_bases); the images
-    field prints the mapped words."""
+    quadrisecant bounds come from the same parity images, through
+    parity.event_lower_bound.  The parity images come from the braid's
+    letters (parity.phi_pb_all_bases); the images field prints the mapped
+    words."""
     images = [mapper(w) for k, mapper in ((3, map_pb_to_g3), (4, map_pb_to_g4)) if w.n >= k]
     _check_budget(budget)
-    contexts, longest = _contexts(
-        w.n, [(image.k, phi_pb_all_bases(w, image.k)) for image in images], budget)
+    ys = {image.k: phi_pb_all_bases(w, image.k) for image in images}
     return Certificate(
         input_word=format_pb_word(w),
         input_kind="pb",
         n=w.n,
         budget=budget,
-        contexts=contexts,
+        contexts=_contexts(w.n, ys, budget),
         images=tuple((image.k, format_gnk_word(image)) for image in images),
-        trisecant_bound=longest.get(3, 0),
-        quadrisecant_bound=longest.get(4, 0),
+        trisecant_bound=event_lower_bound(ys.get(3, ())),
+        quadrisecant_bound=event_lower_bound(ys.get(4, ())),
     )
 
 
@@ -470,12 +466,11 @@ def gnk_report(w: GnkWord, budget: int = 6) -> Certificate:
     """Certificate for an even word given directly in one (n, k) group."""
     reduced = w.reduced()
     _check_budget(budget)
-    contexts, _ = _contexts(w.n, [(w.k, phi_all_bases(reduced))], budget)
     return Certificate(
         input_word=format_gnk_word(w),
         input_kind="gnk",
         n=w.n,
         budget=budget,
-        contexts=contexts,
+        contexts=_contexts(w.n, {w.k: phi_all_bases(reduced)}, budget),
         images=((w.k, format_gnk_word(reduced)),),
     )

@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import DegenerateInput, InvalidContext, InvalidPair, NonGenericTrajectory
 from .geometry import ParabolaConfig, growth_sequence_case1
 from .gnk import GnkWord
-from .pbraid import PBWord, g4_c, map_pb_to_g3, pb_letter
+from .pbraid import PBLetter, PBWord, g4_c, map_pb_to_g3
 from .roots import RealRoot, primitive, root_compare
 # not called here: perfbench/spans.py wraps them by name as trace attributes
 from .roots import count_roots, isolate_roots, squarefree_part  # noqa: F401
@@ -428,10 +428,11 @@ def _min_gap_sq(params: Iterable[Fraction]) -> Fraction:
 
 
 # Largest n of the circle motions: the trace of b_1n checks C(n, 3) tuples in
-# its first slab and C(n-1, 2) in each of its O(n) later slabs.  It took
-# 0.15-0.20 s at n = 32 and 1.3 s at n = 64 (in process, shared 2-vCPU x86
-# machine, CPython 3.11), so the limit keeps every circle motion well under
-# a second.
+# its first slab and C(n-1, 2) in each of its O(n) later slabs.
+# `simulate --kind circle --i 1 --j n --n n --trace` took 0.22-0.36 s at
+# n = 32 and, with the limit lifted, 0.93-1.67 s at n = 64, so the limit
+# keeps every circle motion well under a second.  Three fresh processes
+# each, on a shared 2-vCPU x86 machine with CPython 3.11.
 _CIRCLE_MAX_N = 32
 
 
@@ -469,7 +470,7 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
     homes = [_circle_point(home[u]) for u in range(1, n + 1)]
     return _validated_motion(
         "circle", i, j, 3, lambda: _four_stage(i, j, homes, stages),
-        map_pb_to_g3(PBWord(n, (pb_letter(i, j),)), reduced=False).letters)
+        map_pb_to_g3(PBWord._unchecked(n, (PBLetter(i, j, 1),)), reduced=False).letters)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +478,8 @@ def simulate_bij_circle(i: int, j: int, n: int) -> tuple[Trajectory, list[Secant
 
 # Largest n of the parabola motions.  At n = 8 the coordinates still print
 # (t_8 has 255 digits), but 12 of the 28 generators fail the letter-exact
-# word check, each by reordering far-commuting letters; the other 16 build
-# in 4.8-6.3 s in total (shared 2-vCPU x86 machine, CPython 3.11).
+# word check, each by reordering far-commuting letters; the other 16 built
+# in 3.1 s in all (one process, shared 2-vCPU x86 machine, CPython 3.11).
 _PARABOLA_MAX_N = 7
 
 

@@ -22,6 +22,12 @@ from fractions import Fraction
 from . import geometry, gnk, parity, pbraid, trace
 from .errors import InvalidContext, NotEvenWord
 
+# Largest n of the relators suite, a bound on its run time, which grows with
+# the number of checks.  At k = 4 the whole suite took 0.18-0.29 s at n = 9
+# (7287 checks), 0.72-0.98 s at n = 11 and 1.6-2.3 s with a 64 MB peak
+# (VmHWM) at n = 12 (117062 checks), and, with the limit lifted, 3.8-5.5 s
+# and 110 MB at n = 13.  Three fresh processes each, on a shared 2-vCPU x86
+# machine with CPython 3.11.
 _RELATORS_MAX_N = 12
 
 
@@ -67,13 +73,9 @@ def relator_checks(n: int, k: int) -> list[tuple[str, bool]]:
     parity.phi_pb_all_bases, its images on every base are those of the
     letters' cached images, concatenated and freely reduced.
 
-    Beyond n = 12 the suite is refused before any relator is built.  The
-    limit bounds the run time, which grows with the number of checks: as
-    fresh processes, the whole suite took 0.21-0.22 s at n = 9, k = 4 (7287
-    checks), 0.9-1.1 s at n = 11, k = 4 and 1.6-2.5 s (64 MB peak) at
-    n = 12, k = 4 (117062 checks); lifted, it took 4.5 s (110 MB) at
-    n = 13, k = 4 (246389 checks).  The relator words are built without
-    re-checking their letters (PBWord._unchecked, GnkWord._unchecked).
+    Beyond _RELATORS_MAX_N the suite is refused before any relator is
+    built.  The relator words are built without re-checking their letters
+    (PBWord._unchecked, GnkWord._unchecked).
     """
     if n > _RELATORS_MAX_N:
         raise InvalidContext(f"the relators suite needs n <= {_RELATORS_MAX_N}, got {n}")
@@ -155,7 +157,7 @@ def tracer_checks(n: int) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            w = pbraid.PBWord(n, (pbraid.pb_letter(i, j),))
+            w = pbraid.PBWord._unchecked(n, (pbraid.PBLetter(i, j, 1),))
             _, events = trace.simulate_bij_circle(i, j, n)
             traced = trace.event_word(n, 3, events)
             image = pbraid.map_pb_to_g3(w, reduced=False)
@@ -163,7 +165,7 @@ def tracer_checks(n: int) -> list[tuple[str, bool]]:
                            _same_phi(traced, image)))
     if parabola_events is not None:
         traced = trace.event_word(n, 4, parabola_events)
-        image = pbraid.map_pb_to_g4(pbraid.PBWord(n, (pbraid.pb_letter(1, 2),)), reduced=False)
+        b12 = pbraid.PBWord._unchecked(n, (pbraid.PBLetter(1, 2, 1),))
         checks.append(("parabola trace of b12 matches the k=4 image",
-                       _same_phi(traced, image)))
+                       _same_phi(traced, pbraid.map_pb_to_g4(b12, reduced=False))))
     return checks

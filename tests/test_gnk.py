@@ -6,7 +6,6 @@ import pytest
 from braidcert.errors import InvalidContext, InvalidPair, ParseError
 from braidcert.gnk import (
     GnkWord,
-    _check_letter,
     c_full,
     far_commutes,
     format_gnk_word,
@@ -111,9 +110,8 @@ def test_word_validation():
 @pytest.mark.parametrize("letter", [(1, 2), (1, 2, 3, 4), (2, 1, 3), (1, 1, 2),
                                     (0, 1, 2), (1, 2, 5)])
 def test_rejection_repeats_on_every_attempt(letter):
-    """Validation is memoised, but a rejection is not: the second attempt
-    raises the message of the first, through the constructor and the parser."""
-    _check_letter.cache_clear()
+    """A rejected letter is rejected again, with the message of the first
+    attempt, through the constructor and the parser."""
     messages = []
     for _ in range(2):
         with pytest.raises(InvalidContext) as exc:

@@ -12,6 +12,7 @@ from braidcert.parity import (
     act_letter,
     acts_trivially,
     all_bases,
+    event_lower_bound,
     format_hword,
     format_zvec,
     is_even,
@@ -268,6 +269,36 @@ def test_quadrisecant_lower_bound_examples():
     assert quadrisecant_lower_bound(parse_pb_word("b12", 5)) == 2
     # n = 4 collapses: the parity group is trivial
     assert quadrisecant_lower_bound(parse_pb_word("b13", 4)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_event_bounds_agree_everywhere(data):
+    # the certificate and both bound functions read the one event bound: the
+    # longest parity image of the mapped word over the bases, 0 below n = k
+    from braidcert.switches import unknotting_report
+
+    n = data.draw(st.integers(2, 7))
+    w = data.draw(signed_pb_words(n, 5))
+    expect = {3: 0, 4: 0}
+    for k, mapper in ((3, map_pb_to_g3), (4, map_pb_to_g4)):
+        if n >= k:
+            expect[k] = max(len(phi(mapper(w), base)) for base in all_bases(n, k))
+            assert event_lower_bound(phi_pb_all_bases(w, k)) == expect[k]
+    assert (trisecant_lower_bound(w), quadrisecant_lower_bound(w)) == (expect[3], expect[4])
+    cert = unknotting_report(w, budget=0)
+    assert (cert.trisecant_bound, cert.quadrisecant_bound) == (expect[3], expect[4])
+
+
+def test_event_lower_bound_without_bases():
+    assert event_lower_bound(()) == 0
+    assert event_lower_bound(((), (1, 2), (3,))) == 2
+
+
+def test_all_bases_is_one_tuple_per_context():
+    bases = all_bases(6, 4)
+    assert type(bases) is tuple and all_bases(6, 4) is bases
+    assert [base.m for base in bases] == generators(6, 4)
 
 
 def test_hword_formatting_round_trip():

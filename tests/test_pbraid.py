@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcert.errors import InvalidContext, NotAGroupElement, ParseError
-from braidcert.gnk import GnkWord
+from braidcert.gnk import GnkWord, c_full
 from braidcert.parity import all_bases, is_even, phi, psi_word
 from braidcert.pbraid import (
     PBLetter,
@@ -75,6 +75,45 @@ def test_inverse_and_products_equal_checked_words(data):
         assert same_word(w)
 
 
+def checked(w: GnkWord) -> bool:
+    """w equals the word the public constructor, which checks the context
+    and every letter, builds from its fields."""
+    return w == GnkWord(w.n, w.k, w.letters)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_blocks_and_generator_images_are_checked_words(n):
+    # the package builds these without checks; the checked constructor must
+    # accept every one of them as it is
+    words = []
+    for i, j in combinations(range(1, n + 1), 2):
+        words += [g3_c(i, j, n), g3_c(j, i, n), c_full(i, j, n, 3)]
+        if n >= 4:
+            words += [*g4_c_components(i, j, n), g4_c(i, j, n), c_full(i, j, n, 4)]
+        for w in (PBWord(n, (pb_letter(i, j),)), PBWord(n, (pb_letter(i, j, -1),))):
+            for mapper in (map_pb_to_g3, map_pb_to_g4)[:n - 2]:
+                words += [mapper(w), mapper(w, reduced=False)]
+    assert all(map(checked, words))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_images_and_their_products_are_checked_words(data):
+    n = data.draw(st.integers(3, 9))
+    mapper = data.draw(st.sampled_from((map_pb_to_g3, map_pb_to_g4)[:n - 2]))
+    reduced = data.draw(st.booleans())
+    w = mapper(data.draw(signed_pb_words(n, 6)), reduced=reduced)
+    assert checked(w)
+    for _ in range(data.draw(st.integers(1, 4))):
+        step = data.draw(st.sampled_from(("inverse", "reduced", "left", "right")))
+        if step in ("inverse", "reduced"):
+            w = getattr(w, step)()
+        else:
+            other = mapper(data.draw(signed_pb_words(n, 4)), reduced=reduced)
+            w = w * other if step == "right" else other * w
+        assert checked(w)
+
+
 def test_pb_relators_n2_empty():
     assert pb_relators(2) == []
 
@@ -106,6 +145,11 @@ def test_g3_c_examples():
     assert g3_c(1, 2, 4).letters == ((1, 2, 3), (1, 2, 4))
     assert g3_c(1, 3, 4).letters == ((1, 3, 4), (1, 2, 3))
     assert g3_c(1, 2, 3).letters == ((1, 2, 3),)
+
+
+def test_g3_c_needs_three_strands():
+    with pytest.raises(InvalidContext, match=r"^need 1 <= k <= n, got n=2, k=3$"):
+        g3_c(1, 2, 2)
 
 
 def test_map_pb_to_g3_examples():
